@@ -4,7 +4,7 @@ algebra against its closed form.
 Run with: python3 demos/03_potentials_and_kdv.py
 """
 
-from cyclichodge import (compute_potential, enumerate_desc, enumerate_sm,
+from cyclichodge import (PotentialTable, enumerate_desc, enumerate_sm,
                          kdv_coefficient, load_builtin)
 
 # The genus-2 vacuum sum has exactly two trivalent graph classes: the
@@ -23,11 +23,11 @@ for cls in enumerate_desc(2, 4, 0):
 
 # Over the one-dimensional algebra the whole genus expansion collapses
 # to the one-point series: coefficient 1/(g! 24^g k!) at level 3g-2+k.
-triv = load_builtin("trivial")
+triv = PotentialTable(load_builtin("trivial"))
 print("\ntrivial algebra, genus <= 2, pipeline vs closed form:")
 for (g, m, k) in [(0, 0, 3), (0, 1, 3), (0, 4, 6), (1, 1, 0), (1, 4, 3),
                   (2, 4, 0), (2, 6, 2)]:
-    pot = compute_potential(triv, g, m, k)
+    pot = triv.potential(g, m, k)
     mono = ((0, 1),) * k if m == 0 else tuple(sorted([(m, 1)] + [(0, 1)] * k))
     got = pot.coefficient(mono)
     want = kdv_coefficient(g, m, k)
@@ -37,4 +37,4 @@ for (g, m, k) in [(0, 0, 3), (0, 1, 3), (0, 4, 6), (1, 1, 0), (1, 4, 3),
 # Richer algebras keep more of the couplings. dual2 = Q[x]/(x^2):
 dual2 = load_builtin("dual2")
 print("\ndual2 genus-0 level-2 potential, 4-leaf window:")
-print(" ", compute_potential(dual2, 0, 2, 4).to_text())
+print(" ", PotentialTable(dual2).potential(0, 2, 4).to_text())

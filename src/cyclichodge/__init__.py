@@ -15,8 +15,8 @@ from .graded import Operator, koszul_sign, supertrace
 from .graphs import (MarkedGraph, graph_genus, is_valid_descendant_graph,
                      is_valid_smooth_graph, load_graph)
 from .poly import Poly
-from .potentials import (PotentialTable, WeightedGraphClass, compute_potential,
-                         enumerate_desc, enumerate_sm, kdv_coefficient)
+from .potentials import (PotentialTable, WeightedGraphClass, enumerate_desc,
+                         enumerate_sm, kdv_coefficient)
 from .relations import (BudgetError, Residual, check_const_relation,
                         check_dilaton, check_string, check_trr0, check_trr1,
                         check_trr2, check_wdvv, run_battery, run_check)

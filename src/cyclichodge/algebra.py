@@ -130,13 +130,6 @@ class CHAlgebra:
     def gminus_op(self):
         return Operator(self.gminus, ODD)
 
-    @property
-    def n_h0(self):
-        return len(self.h0)
-
-    def h0_parities(self):
-        return tuple(self.parity[i] for i in self.h0)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self):
@@ -188,16 +181,17 @@ def parse_algebra(obj, name=""):
     except KeyError as exc:
         raise FormatError(f"missing required key {exc}") from None
 
-    if not isinstance(dim, int) or dim < 1:
+    # type(x) is int: JSON true/false load as bools, which are ints
+    if type(dim) is not int or dim < 1:
         raise FormatError("dim must be a positive integer")
     if (not isinstance(parity, list) or len(parity) != dim
-            or any(p not in (0, 1) for p in parity)):
+            or any(type(p) is not int or p not in (0, 1) for p in parity)):
         raise FormatError("parity must be a list of dim values in {0,1}")
-    if not isinstance(unit, int) or not 1 <= unit <= dim:
+    if type(unit) is not int or not 1 <= unit <= dim:
         raise FormatError("unit must be a 1-based basis index")
 
     def check_index(i, what):
-        if not isinstance(i, int) or not 1 <= i <= dim:
+        if type(i) is not int or not 1 <= i <= dim:
             raise FormatError(f"{what}: index {i!r} out of range 1..{dim}")
         return i - 1
 
@@ -248,8 +242,9 @@ def parse_algebra(obj, name=""):
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
-    if not isinstance(hodge, dict) or "H0" not in hodge or "blocks" not in hodge:
-        raise FormatError("hodge must be an object with keys H0 and blocks")
+    if (not isinstance(hodge, dict) or not isinstance(hodge.get("H0"), list)
+            or not isinstance(hodge.get("blocks"), list)):
+        raise FormatError("hodge must be an object with lists H0 and blocks")
     h0 = tuple(check_index(i, "H0") for i in hodge["H0"])
     blocks = []
     for blk in hodge["blocks"]:
@@ -311,9 +306,6 @@ class DerivedOps:
         ident = Operator.identity(dim)
         self.pi0 = ident.minus(self.pi4)
         assert self.pi0.plus(self.pi4).mat == ident.mat
-        self.jmat = tuple(tuple(Fraction(-1 if alg.parity[i] else 1) if i == j
-                                else Fraction(0) for j in range(dim))
-                          for i in range(dim))
         self.gram = alg.gram()
         self.eta = tuple(tuple(self.gram[a][b] for b in alg.h0) for a in alg.h0)
         self._gram_inv = None
@@ -636,8 +628,3 @@ def check_axioms(alg):
     add("hodge-pairing-orthogonal", hodge_orthogonal())
 
     return AxiomReport(tuple(checks))
-
-
-@lru_cache(maxsize=64)
-def axioms_pass(alg):
-    return check_axioms(alg).ok

@@ -85,6 +85,17 @@ def validate_plan(graph, plan):
             raise ValueError(f"germ order of vertex {v + 1} does not match the graph")
     if not all(0 <= k < graph.n_edges for k in plan.sign_edges):
         raise ValueError("sign edge index out of range")
+    untwisted = [k for k in range(graph.n_edges) if k not in plan.sign_edges]
+    merges = len(_forest_edges(graph, untwisted))
+    if merges != len(untwisted):
+        raise ValueError("untwisted edges must not close a cycle")
+    if merges != graph.n_vertices - 1:
+        raise ValueError("untwisted edges must form a spanning tree")
+
+
+def _forest_edges(graph, edge_ids):
+    """The edges of edge_ids, taken in order, that join two components of
+    the edges taken before them (union-find)."""
     parent = list(range(graph.n_vertices))
 
     def find(x):
@@ -93,17 +104,14 @@ def validate_plan(graph, plan):
             x = parent[x]
         return x
 
-    merges = 0
-    for k, (u, v, _) in enumerate(graph.edges):
-        if k in plan.sign_edges:
-            continue
+    forest = []
+    for k in edge_ids:
+        u, v, _ = graph.edges[k]
         ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ValueError("untwisted edges must not close a cycle")
-        parent[ru] = rv
-        merges += 1
-    if merges != graph.n_vertices - 1:
-        raise ValueError("untwisted edges must form a spanning tree")
+        if ru != rv:
+            parent[ru] = rv
+            forest.append(k)
+    return forest
 
 
 def random_plan(graph, rng):
@@ -119,21 +127,7 @@ def random_plan(graph, rng):
         germ_order.append(tuple(germs))
     edge_ids = list(range(graph.n_edges))
     rng.shuffle(edge_ids)
-    parent = list(range(graph.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-    for k in edge_ids:
-        u, v, _ = graph.edges[k]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.add(k)
+    tree = set(_forest_edges(graph, edge_ids))
     return EvalPlan(tuple(vertex_order), tuple(germ_order),
                     frozenset(k for k in range(graph.n_edges) if k not in tree))
 

@@ -142,10 +142,6 @@ class Operator:
     def identity(cls, dim):
         return cls(identity_matrix(dim), EVEN)
 
-    @classmethod
-    def zero(cls, dim, parity=EVEN):
-        return cls(zero_matrix(dim), parity)
-
     def compose(self, other):
         """self after other."""
         return Operator(mat_mul(self.mat, other.mat),

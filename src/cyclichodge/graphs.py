@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import permutations, product
+from math import factorial
 
 EDGE_MARKS = ("GG", "IDLOOP", "ID", "PI0", "QGP", "GPQ", "GP", "GM")
 
@@ -235,13 +236,13 @@ class MarkedGraph:
             for m in set(marks):
                 c = marks.count(m)
                 if u == v:
-                    lifts *= 2 ** c * _factorial(c)
+                    lifts *= 2 ** c * factorial(c)
                 else:
-                    lifts *= _factorial(c)
+                    lifts *= factorial(c)
         for v in range(self.n_vertices):
             marks = self.leaf_marks_at(v)
             for m in set(marks):
-                lifts *= _factorial(marks.count(m))
+                lifts *= factorial(marks.count(m))
         return n_sigma * lifts
 
     # -- serialization --------------------------------------------------------
@@ -259,18 +260,22 @@ class MarkedGraph:
         if not isinstance(obj, dict) or "vertices" not in obj:
             raise ValueError("graph JSON must be an object with a 'vertices' count")
         nv = obj["vertices"]
-        if not isinstance(nv, int) or nv < 1:
+        # type(x) is int: JSON true/false load as bools, which are ints
+        if type(nv) is not int or nv < 1:
             raise ValueError("'vertices' must be a positive integer")
+        edge_ents, leaf_ents = obj.get("edges", []), obj.get("leaves", [])
+        if not isinstance(edge_ents, list) or not isinstance(leaf_ents, list):
+            raise ValueError("'edges' and 'leaves' must be lists")
         edges = []
-        for ent in obj.get("edges", []):
-            if not isinstance(ent, list) or len(ent) != 3:
+        for ent in edge_ents:
+            if not _is_entry(ent, 3):
                 raise ValueError(f"bad edge entry {ent!r}")
-            edges.append((int(ent[0]) - 1, int(ent[1]) - 1, ent[2]))
+            edges.append((ent[0] - 1, ent[1] - 1, ent[2]))
         leaves = []
-        for ent in obj.get("leaves", []):
-            if not isinstance(ent, list) or len(ent) != 2:
+        for ent in leaf_ents:
+            if not _is_entry(ent, 2):
                 raise ValueError(f"bad leaf entry {ent!r}")
-            leaves.append((int(ent[0]) - 1, ent[1]))
+            leaves.append((ent[0] - 1, ent[1]))
         return cls(nv, edges, leaves)
 
     @classmethod
@@ -291,11 +296,12 @@ class MarkedGraph:
         return hash((self.n_vertices, self.edges, self.leaves))
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+def _is_entry(ent, width):
+    """A JSON [vertex, ..., mark] entry: int (not bool) vertex indices
+    and a string mark."""
+    return (isinstance(ent, list) and len(ent) == width
+            and all(type(i) is int for i in ent[:-1])
+            and isinstance(ent[-1], str))
 
 
 def load_graph(path):

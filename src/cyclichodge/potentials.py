@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 
 from .algebra import AlgebraError, check_axioms
 from .contract import evaluate_graph
@@ -205,9 +205,7 @@ def enumerate_desc(g, n, L, _no_gg=False):
 class PotentialTable:
     """Caches potential pieces (exact leaf count) for one algebra.
 
-    Requires an algebra passing every axiom with purely even H_0.  Test
-    hooks can add perturbations via inject(); shared tables obtained
-    through compute_potential are never injected.
+    Requires an algebra passing every axiom with purely even H_0.
     """
 
     def __init__(self, alg, prune_empty_h4=True):
@@ -223,7 +221,6 @@ class PotentialTable:
         self.prune = bool(prune_empty_h4) and not alg.blocks
         self._pieces = {}
         self._classes = {}
-        self._injected = []
 
     def classes(self, g, n, ell):
         key = (g, n, ell)
@@ -241,11 +238,7 @@ class PotentialTable:
             for cls in self.classes(g, n, ell):
                 total = total + evaluate_graph(self.alg, cls.graph) * cls.weight
             self._pieces[key] = total
-        out = self._pieces[key]
-        for (ig, inn, delta) in self._injected:
-            if (ig, inn) == (g, n):
-                out = out + delta.level_zero_degree_part(ell)
-        return out
+        return self._pieces[key]
 
     def potential(self, g, n, max_leaves):
         """Sum of the pieces with at most max_leaves E0 leaves: exact in
@@ -257,32 +250,9 @@ class PotentialTable:
             total = total + self.piece(g, n, ell)
         return total
 
-    def inject(self, g, n, delta):
-        """Add a perturbation to the (g, n) potential (test hook)."""
-        self._injected.append((g, n, delta))
-
-
-@lru_cache(maxsize=8)
-def _shared_table(alg, prune):
-    return PotentialTable(alg, prune_empty_h4=prune)
-
-
-def compute_potential(alg, g, n, max_leaves, prune_empty_h4=True):
-    """Potential for genus g at arrow level n (n = 0: primary sum), with
-    all contributions of up to max_leaves E0 leaves."""
-    table = _shared_table(alg, bool(prune_empty_h4))
-    return table.potential(g, n, max_leaves)
-
 
 # ---------------------------------------------------------------------------
 # closed form over the trivial algebra
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def kdv_coefficient(g, m, k):
@@ -297,15 +267,15 @@ def kdv_coefficient(g, m, k):
     if g == 0:
         if m == 0:
             return Fraction(1, 6) if k == 3 else Fraction(0)
-        return Fraction(1, _factorial(m + 2)) if k == m + 2 else Fraction(0)
+        return Fraction(1, factorial(m + 2)) if k == m + 2 else Fraction(0)
     if m == 0:
         return Fraction(0)
     if m == 3 * g - 2 + k:
-        return Fraction(1, _factorial(g) * 24 ** g * _factorial(k))
+        return Fraction(1, factorial(g) * 24 ** g * factorial(k))
     return Fraction(0)
 
 
 __all__ = [
     "WeightedGraphClass", "enumerate_sm", "enumerate_desc",
-    "PotentialTable", "compute_potential", "kdv_coefficient",
+    "PotentialTable", "kdv_coefficient",
 ]

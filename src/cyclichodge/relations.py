@@ -1,29 +1,58 @@
 """Differential identities of the potentials, checked as exact
-polynomial statements over Q.
+polynomial statements over Q on the monomials of level-0 degree <=
+`degree` (at most one arrow factor where arrows appear): a zero residual
+is a proof on that window, a nonzero one a genuine counterexample.
 
-Every check compares both sides of an identity on a finite window: all
-monomials of level-0 degree at most `degree` (and, where arrow
-variables appear, at most one arrow factor).  Potentials enter through
-leaf budgets chosen so that every kept monomial is computed exactly -
-each level-0 derivative applied to a potential costs one extra leaf -
-so a zero residual is a proof on the window and a nonzero residual is a
-genuine counterexample, never a truncation artifact.
+Identities are data.  A side is a list of terms (coefficient, factors,
+pairs); a coefficient is an int, a Fraction or a literal such as "7/10".
+A factor is F(g, n, *derivs), a derivative of F_{g,n} along (level,
+index) entries (a bare index is level 0), or a coupling T(level, index).
+A pair (i, j) sums two index names against eta^{-1}, the inverse pairing
+on H_0; (i, j, ETA) sums against eta, (i, j, SUM) plainly.  Other
+indices are slots 1..s or free names a, b, c, d, one residual slice per
+value.  Leaf budgets are derived: F_{g,n} is fetched once, with budget
+degree + (its level-0 derivatives) - (level-0 couplings in the term),
+maximized over its uses.
 
-Contracted derivative pairs are summed against the inverse pairing on
-H_0; the quadratic term of the string identity uses the pairing itself.
+Writing F_{g,n;...} for derivatives of F_{g,n} (a bare index at level 0)
+and summing repeated i, j, k, l against eta^{-1}:
+  wdvv     F_{abi} F_{jcd} = F_{aci} F_{jbd}, for F = F_{0,0}
+  const    F_{ikl} F_{jmp} (m, p paired too) is a constant, reported
+  string   sum_{m<=M} F_{g,m;1} = sum_{n<M} T[n+1,i] F_{g,n;(n,i)} (i summed
+           plainly) + [g=0] eta_{ij} T[0,i] T[0,j] / 2, for M = degree + 2
+  dilaton  F_{g,1;(1,1)} = T[0,i] F_{g,0;i} (plainly) + (2g-2) F_{g,0}
+           + [g=1] str(Pi_0) / 24
+  trr0     F_{0,n+1;(n+1,a)bc} = F_{0,n;(n,a)i} F_{0,0;jbc}
+  trr1     F_{1,n+1;(n+1,a)} = F_{0,n;(n,a)i} F_{1,0;j} + F_{0,n;(n,a)ij} / 24
+  trr2     eight terms with the coefficients 1, 1, -1, 7/10, 1/10, -1/240,
+           13/240, 1/960, written out in check_trr2
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 from .algebra import derive_ops
-from .graded import supertrace
 from .poly import Poly, format_rational
 from .potentials import PotentialTable
 
 MAX_LEAF_BUDGET = 18
+ETA, SUM = "eta", "sum"  # pair forms besides the default eta^{-1}
+IJ, KL = ("i", "j"), ("k", "l")
+
+Derivative = namedtuple("Derivative", "g n derivs")
+T = namedtuple("T", "level index")
+
+
+def F(g, n, *derivs):
+    """The derivative of F_{g,n} along derivs; a bare index is level 0."""
+    return Derivative(g, n, tuple(d if isinstance(d, tuple) else (0, d)
+                                  for d in derivs))
 
 
 class BudgetError(ValueError):
@@ -93,122 +122,111 @@ def _finish(relation, degree, params, residuals, details=None):
                     witness=witness, details=details or {})
 
 
-class _Setup:
-    """Shared context: potential table, pairing data, budget guard."""
+def _evaluate(alg, table, degree, free, sides):
+    """[(slice label, [[term value, ...] per side])] per value of the
+    free names; derivatives are memoised per sorted multi-index."""
+    budgets = {}
+    for _, factors, _ in (term for side in sides for term in side):
+        saved = sum(1 for f in factors if isinstance(f, T) and f.level == 0)
+        for f in factors:
+            if isinstance(f, Derivative):
+                need = degree - saved + sum(lvl == 0 for lvl, _ in f.derivs)
+                budgets[f.g, f.n] = max(need, budgets.get((f.g, f.n), need))
+    largest = max(budgets.values(), default=0)
+    if largest > MAX_LEAF_BUDGET:
+        raise BudgetError(f"degree {degree} requires a leaf budget of "
+                          f"{largest} > {MAX_LEAF_BUDGET}; lower the degree")
+    table = table if table is not None else PotentialTable(alg)
+    derived = {(g, n, ()): table.potential(g, n, need)
+               for (g, n), need in budgets.items()}
+    der = derive_ops(alg)
+    s = len(alg.h0)
+    entries = {form: [(i + 1, j + 1, c) for i, row in enumerate(mat)
+                      for j, c in enumerate(row) if c]
+               for form, mat in ((None, der.eta_inv), (ETA, der.eta))}
+    entries[SUM] = [(i, i, 1) for i in range(1, s + 1)]
 
-    def __init__(self, alg, table, max_budget):
-        self.alg = alg
-        self.table = table if table is not None else PotentialTable(alg)
-        self.max_budget = max_budget
-        der = derive_ops(alg)
-        self.s = len(alg.h0)
-        self.eta = der.eta
-        self.eta_inv = der.eta_inv
-        self.str_pi0 = supertrace(der.pi0.mat, alg.parity)
+    def derivative(g, n, mono):
+        if (g, n, mono) not in derived:
+            derived[g, n, mono] = derivative(g, n, mono[:-1]).partial(mono[-1])
+        return derived[g, n, mono]
 
-    def F(self, g, n, budget):
-        if budget > self.max_budget:
-            raise BudgetError(
-                f"degree requires a leaf budget of {budget} > {self.max_budget}; "
-                "lower the degree or raise max_budget")
-        return self.table.potential(g, n, budget)
+    def value(f, env):
+        if isinstance(f, T):
+            return Poly.var(f.level, env.get(f.index, f.index))
+        return derivative(f.g, f.n, tuple(sorted(
+            (lvl, env.get(i, i)) for lvl, i in f.derivs)))
 
-    def pair(self, fn_left, fn_right):
-        """sum_ij fn_left(i) eta^{-1}[i][j] fn_right(j) over H_0 slots."""
+    def term_value(coeff, factors, pairs, env):
         total = Poly.zero()
-        for i in range(self.s):
-            li = fn_left(i + 1)
-            if li.is_zero():
-                continue
-            for j in range(self.s):
-                c = self.eta_inv[i][j]
-                if c == 0:
-                    continue
-                total = total + li * fn_right(j + 1) * c
+        for combo in product(*(entries[p[2] if len(p) > 2 else None]
+                               for p in pairs)):
+            bound = dict(env)
+            for (i, j, *_), (x, y, _) in zip(pairs, combo):
+                bound[i], bound[j] = x, y
+            parts = [value(f, bound) for f in factors]
+            if all(parts):
+                weight = reduce(mul, (c for _, _, c in combo), Fraction(coeff))
+                total = total + reduce(mul, parts, weight)
         return total
 
+    envs = [dict(zip(free, slots))
+            for slots in product(range(1, s + 1), repeat=len(free))]
+    return [(",".join(f"{k}={v}" for k, v in env.items()) or "all",
+             [[term_value(*t, env) for t in side] for side in sides])
+            for env in envs]
 
-def check_wdvv(alg, degree, table=None, max_budget=MAX_LEAF_BUDGET):
+
+def _difference(left, right):
+    return sum(left, Poly.zero()) - sum(right, Poly.zero())
+
+
+def _check(relation, alg, table, degree, params, free, lhs, rhs,
+           details=None, breakdown=False):
+    """Residual lhs - rhs per slice; a breakdown reports the constant
+    term of each rhs term and then of the lhs, per slice."""
+    residuals, constants = {}, {}
+    for label, sides in _evaluate(alg, table, degree, free, (lhs, rhs)):
+        residuals[label] = _difference(*sides).truncate(total_degree=degree)
+        constants[label] = [format_rational(t.constant_term())
+                            for t in sides[1] + sides[0]]
+    if breakdown:
+        details = {"term_constants": constants}
+    return _finish(relation, degree, params, residuals, details)
+
+
+def check_wdvv(alg, degree, table=None):
     """Associativity identity for the genus-0 primary potential."""
-    st = _Setup(alg, table, max_budget)
-    F = st.F(0, 0, degree + 3)
-    s = st.s
-    third = {}
-    for a in range(1, s + 1):
-        for b in range(a, s + 1):
-            for c in range(b, s + 1):
-                third[(a, b, c)] = (F.partial((0, a)).partial((0, b))
-                                    .partial((0, c)))
-
-    def t3(a, b, c):
-        return third[tuple(sorted((a, b, c)))]
-
-    residuals = {}
-    for a in range(1, s + 1):
-        for b in range(1, s + 1):
-            for c in range(1, s + 1):
-                for d in range(1, s + 1):
-                    lhs = st.pair(lambda i: t3(a, b, i), lambda j: t3(j, c, d))
-                    rhs = st.pair(lambda i: t3(a, c, i), lambda j: t3(j, b, d))
-                    residuals[f"a={a},b={b},c={c},d={d}"] = \
-                        (lhs - rhs).truncate(total_degree=degree)
-    return _finish("wdvv", degree, {}, residuals)
+    def side(b, c):
+        return [(1, [F(0, 0, "a", b, "i"), F(0, 0, "j", c, "d")], [IJ])]
+    return _check("wdvv", alg, table, degree, {}, "abcd",
+                  side("b", "c"), side("c", "b"))
 
 
-def check_const_relation(alg, degree, table=None, max_budget=MAX_LEAF_BUDGET):
+def check_const_relation(alg, degree, table=None):
     """Full double contraction of the genus-0 third derivatives; must be
     a constant.  The constant itself is reported, not constrained."""
-    st = _Setup(alg, table, max_budget)
-    F = st.F(0, 0, degree + 3)
-    s = st.s
-    u = []
-    for i in range(1, s + 1):
-        Fi = F.partial((0, i))
-        acc = Poly.zero()
-        for k in range(s):
-            for ll in range(s):
-                c = st.eta_inv[k][ll]
-                if c != 0:
-                    acc = acc + Fi.partial((0, k + 1)).partial((0, ll + 1)) * c
-        u.append(acc)
-    lhs = st.pair(lambda i: u[i - 1], lambda j: u[j - 1])
+    term = (1, [F(0, 0, "i", "k", "l"), F(0, 0, "j", "m", "p")],
+            [IJ, KL, ("m", "p")])
+    ((_, ((lhs,),)),) = _evaluate(alg, table, degree, "", ([term],))
     const = lhs.constant_term()
-    residuals = {"all": (lhs - const).truncate(total_degree=degree)}
-    return _finish("const", degree, {}, residuals,
+    return _finish("const", degree, {},
+                   {"all": (lhs - const).truncate(total_degree=degree)},
                    details={"constant": const})
 
 
-def check_string(alg, genus, degree, table=None, max_level=None,
-                 max_budget=MAX_LEAF_BUDGET):
+def check_string(alg, genus, degree, table=None):
     """Unit-direction derivative identity, compared per arrow level up
-    to max_level (default degree + 2) with at most one arrow factor."""
-    st = _Setup(alg, table, max_budget)
-    M = degree + 2 if max_level is None else max_level
-    s = st.s
-    lhs = Poly.zero()
-    for m in range(M + 1):
-        lhs = lhs + st.F(genus, m, degree + 1).partial((0, 1))
-    rhs = Poly.zero()
-    # level n >= 1 sources keep one arrow; the n = 0 source only
-    # contributes through the primary part, since an arrow factor on
-    # F_{g,m>=1} would leave two arrows after multiplying by T[1,i]
-    F_primary = st.F(genus, 0, degree + 1)
-    for i in range(1, s + 1):
-        rhs = rhs + Poly.var(1, i) * F_primary.partial((0, i))
-    for n in range(1, M):
-        Fn = st.F(genus, n, degree)
-        for i in range(1, s + 1):
-            rhs = rhs + Poly.var(n + 1, i) * Fn.partial((n, i))
-    if genus == 0:
-        quad = Poly.zero()
-        for i in range(s):
-            for j in range(s):
-                c = st.eta[i][j]
-                if c != 0:
-                    quad = quad + Poly.var(0, i + 1) * Poly.var(0, j + 1) * c
-        rhs = rhs + quad * Fraction(1, 2)
-    diff = (lhs - rhs).truncate(total_degree=degree, arrow_degree=1,
-                                max_level=M)
+    to degree + 2 with at most one arrow factor."""
+    M = degree + 2
+    lhs = [(1, [F(genus, m, 1)], []) for m in range(M + 1)]
+    rhs = [(1, [T(n + 1, "i"), F(genus, n, (n, "j"))], [("i", "j", SUM)])
+           for n in range(M)]
+    rhs.append(("1/2" if genus == 0 else 0, [T(0, "i"), T(0, "j")],
+                [("i", "j", ETA)]))
+    ((_, sides),) = _evaluate(alg, table, degree, "", (lhs, rhs))
+    diff = _difference(*sides).truncate(total_degree=degree, arrow_degree=1,
+                                        max_level=M)
     residuals = {f"level={m}": diff.arrow_part(1).substitute_zero(
         lambda n, i, m=m: n >= 1 and n != m) for m in range(1, M + 1)}
     residuals["level=0"] = diff.arrow_part(0)
@@ -216,149 +234,46 @@ def check_string(alg, genus, degree, table=None, max_level=None,
                    residuals)
 
 
-def check_dilaton(alg, genus, degree, table=None, max_budget=MAX_LEAF_BUDGET):
-    st = _Setup(alg, table, max_budget)
-    lhs = st.F(genus, 1, degree).partial((1, 1))
-    F0 = st.F(genus, 0, degree)
-    rhs = Poly.zero()
-    for i in range(1, st.s + 1):
-        rhs = rhs + Poly.var(0, i) * F0.partial((0, i))
-    rhs = rhs + F0 * (2 * genus - 2)
-    if genus == 1:
-        rhs = rhs + Poly.const(st.str_pi0 * Fraction(1, 24))
-    residuals = {"all": (lhs - rhs).truncate(total_degree=degree)}
-    return _finish("dilaton", degree, {"genus": genus}, residuals,
-                   details={"str_pi0": st.str_pi0})
+def check_dilaton(alg, genus, degree, table=None):
+    str_pi0 = derive_ops(alg).supertrace_pi0()
+    rhs = [(1, [T(0, "i"), F(genus, 0, "j")], [("i", "j", SUM)]),
+           (2 * genus - 2, [F(genus, 0)], []),
+           (str_pi0 / 24 if genus == 1 else 0, [], [])]
+    return _check("dilaton", alg, table, degree, {"genus": genus}, "",
+                  [(1, [F(genus, 1, (1, 1))], [])], rhs,
+                  details={"str_pi0": str_pi0})
 
 
-def check_trr0(alg, n, degree, table=None, max_budget=MAX_LEAF_BUDGET):
+def check_trr0(alg, n, degree, table=None):
     """Genus-0 recursion lowering the arrow level by one."""
-    st = _Setup(alg, table, max_budget)
-    s = st.s
-    # when n = 0 the level-n derivative is itself a level-0 derivative
-    # and costs one extra leaf of budget
-    A = st.F(0, n + 1, degree + 2)
-    B = st.F(0, n, degree + 1 + (1 if n == 0 else 0))
-    C = st.F(0, 0, degree + 3)
-    residuals = {}
-    for a in range(1, s + 1):
-        Ba = B.partial((n, a))
-        for b in range(1, s + 1):
-            for c in range(1, s + 1):
-                lhs = (A.partial((n + 1, a)).partial((0, b)).partial((0, c)))
-                rhs = st.pair(
-                    lambda i: Ba.partial((0, i)),
-                    lambda j: C.partial((0, j)).partial((0, b)).partial((0, c)))
-                residuals[f"a={a},b={b},c={c}"] = \
-                    (lhs - rhs).truncate(total_degree=degree)
-    return _finish("trr0", degree, {"n": n}, residuals)
+    return _check("trr0", alg, table, degree, {"n": n}, "abc",
+                  [(1, [F(0, n + 1, (n + 1, "a"), "b", "c")], [])],
+                  [(1, [F(0, n, (n, "a"), "i"), F(0, 0, "j", "b", "c")], [IJ])])
 
 
-def check_trr1(alg, n, degree, table=None, max_budget=MAX_LEAF_BUDGET):
+def check_trr1(alg, n, degree, table=None):
     """Genus-1 recursion; the 1/24 term is the self-contracted pair."""
-    st = _Setup(alg, table, max_budget)
-    lhs_F = st.F(1, n + 1, degree)
-    B = st.F(0, n, degree + 2 + (1 if n == 0 else 0))
-    F1 = st.F(1, 0, degree + 1)
-    residuals = {}
-    term_constants = {}
-    for a in range(1, st.s + 1):
-        Ba = B.partial((n, a))
-        lhs = lhs_F.partial((n + 1, a))
-        t1 = st.pair(lambda i: Ba.partial((0, i)),
-                     lambda j: F1.partial((0, j)))
-        # self-contraction: sum_ij (d^3 B / dT_na dT_0i dT_0j) eta^{-1}[ij]
-        t2 = Poly.zero()
-        for i in range(st.s):
-            for j in range(st.s):
-                c = st.eta_inv[i][j]
-                if c != 0:
-                    t2 = t2 + Ba.partial((0, i + 1)).partial((0, j + 1)) * c
-        t2 = t2 * Fraction(1, 24)
-        rhs = t1 + t2
-        residuals[f"a={a}"] = (lhs - rhs).truncate(total_degree=degree)
-        term_constants[f"a={a}"] = [format_rational(t.constant_term())
-                                    for t in (t1, t2)]
-        term_constants[f"a={a}"].append(format_rational(lhs.constant_term()))
-    return _finish("trr1", degree, {"n": n}, residuals,
-                   details={"term_constants": term_constants})
+    rhs = [(1, [F(0, n, (n, "a"), "i"), F(1, 0, "j")], [IJ]),
+           ("1/24", [F(0, n, (n, "a"), "i", "j")], [IJ])]
+    return _check("trr1", alg, table, degree, {"n": n}, "a",
+                  [(1, [F(1, n + 1, (n + 1, "a"))], [])], rhs, breakdown=True)
 
 
-def check_trr2(alg, n, degree, table=None, max_budget=MAX_LEAF_BUDGET):
-    """Genus-2 recursion lowering the arrow level by two: eight terms
-    with the coefficients 1, 1, -1, 7/10, 1/10, -1/240, 13/240, 1/960."""
-    st = _Setup(alg, table, max_budget)
-    s = st.s
-
-    def contract_self(p):
-        out = Poly.zero()
-        for i in range(s):
-            for j in range(s):
-                c = st.eta_inv[i][j]
-                if c != 0:
-                    out = out + p.partial((0, i + 1)).partial((0, j + 1)) * c
-        return out
-
-    bump = 1 if n == 0 else 0  # a level-0 arrow derivative costs budget
-    F0n = st.F(0, n, degree + 4 + bump)
-    F0n1 = st.F(0, n + 1, degree + 1)
-    F00 = st.F(0, 0, degree + 3)
-    F10 = st.F(1, 0, degree + 2)
-    F1n = st.F(1, n, degree + 1 + bump)
-    F20 = st.F(2, 0, degree + 1)
-    F21 = st.F(2, 1, degree)
-    F2n2 = st.F(2, n + 2, degree)
-
-    residuals = {}
-    term_constants = {}
-    for a in range(1, s + 1):
-        lhs = F2n2.partial((n + 2, a))
-        Fa = F0n.partial((n, a))
-        F1a = F1n.partial((n, a))
-
-        t1 = st.pair(lambda i: F0n1.partial((n + 1, a)).partial((0, i)),
-                     lambda j: F20.partial((0, j)))
-        t2 = st.pair(lambda i: Fa.partial((0, i)),
-                     lambda j: F21.partial((1, j)))
-        t3 = -st.pair(
-            lambda i: st.pair(lambda ii: Fa.partial((0, ii)),
-                              lambda jj: F00.partial((0, jj)).partial((0, i))),
-            lambda j: F20.partial((0, j)))
-        t4 = st.pair(
-            lambda i: st.pair(lambda ii: Fa.partial((0, ii)).partial((0, i)),
-                              lambda jj: F10.partial((0, jj))),
-            lambda j: F10.partial((0, j))) * Fraction(7, 10)
-        # t5: both eta-legs join the third derivative to one genus-1 factor
-        t5 = Poly.zero()
-        for i in range(s):
-            for j in range(s):
-                cij = st.eta_inv[i][j]
-                if cij == 0:
-                    continue
-                for ii in range(s):
-                    for jj in range(s):
-                        cij2 = st.eta_inv[ii][jj]
-                        if cij2 == 0:
-                            continue
-                        t5 = t5 + (Fa.partial((0, i + 1)).partial((0, ii + 1))
-                                   * F10.partial((0, j + 1)).partial((0, jj + 1))
-                                   * (cij * cij2))
-        t5 = t5 * Fraction(1, 10)
-        t6 = st.pair(lambda i: F1a.partial((0, i)),
-                     lambda j: contract_self(F00.partial((0, j)))) \
-            * Fraction(-1, 240)
-        t7 = st.pair(
-            lambda i: contract_self(Fa).partial((0, i)),
-            lambda j: F10.partial((0, j))) * Fraction(13, 240)
-        t8 = contract_self(contract_self(Fa)) * Fraction(1, 960)
-
-        rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
-        residuals[f"a={a}"] = (lhs - rhs).truncate(total_degree=degree)
-        term_constants[f"a={a}"] = [format_rational(t.constant_term())
-                                    for t in (t1, t2, t3, t4, t5, t6, t7, t8)]
-        term_constants[f"a={a}"].append(format_rational(lhs.constant_term()))
-    return _finish("trr2", degree, {"n": n}, residuals,
-                   details={"term_constants": term_constants})
+def check_trr2(alg, n, degree, table=None):
+    """Genus-2 recursion lowering the arrow level by two."""
+    a = (n, "a")
+    rhs = [
+        (1, [F(0, n + 1, (n + 1, "a"), "i"), F(2, 0, "j")], [IJ]),
+        (1, [F(0, n, a, "i"), F(2, 1, (1, "j"))], [IJ]),
+        (-1, [F(0, n, a, "k"), F(0, 0, "l", "i"), F(2, 0, "j")], [KL, IJ]),
+        ("7/10", [F(0, n, a, "k", "i"), F(1, 0, "l"), F(1, 0, "j")], [KL, IJ]),
+        ("1/10", [F(0, n, a, "i", "k"), F(1, 0, "j", "l")], [IJ, KL]),
+        ("-1/240", [F(1, n, a, "i"), F(0, 0, "j", "k", "l")], [IJ, KL]),
+        ("13/240", [F(0, n, a, "k", "l", "i"), F(1, 0, "j")], [KL, IJ]),
+        ("1/960", [F(0, n, a, "i", "j", "k", "l")], [IJ, KL]),
+    ]
+    return _check("trr2", alg, table, degree, {"n": n}, "a",
+                  [(1, [F(2, n + 2, (n + 2, "a"))], [])], rhs, breakdown=True)
 
 
 RELATIONS = {
@@ -372,45 +287,32 @@ RELATIONS = {
 }
 
 
-def run_check(alg, relation, degree, genus=None, n=None, table=None,
-              max_budget=MAX_LEAF_BUDGET):
+def run_check(alg, relation, degree, genus=None, n=None, table=None):
     """Dispatch a single named check with the parameters it needs."""
-    if relation in ("wdvv", "const"):
-        fn = RELATIONS[relation][1]
-        return fn(alg, degree, table=table, max_budget=max_budget)
-    if relation in ("string", "dilaton"):
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    kind, fn = RELATIONS[relation]
+    if kind == "genus-0":
+        return fn(alg, degree, table=table)
+    if kind == "per-genus":
         if genus is None:
             raise ValueError(f"{relation} needs a genus")
-        fn = RELATIONS[relation][1]
-        return fn(alg, genus, degree, table=table, max_budget=max_budget)
-    if relation in ("trr0", "trr1", "trr2"):
-        if n is None:
-            raise ValueError(f"{relation} needs an arrow level n")
-        fn = RELATIONS[relation][1]
-        return fn(alg, n, degree, table=table, max_budget=max_budget)
-    raise ValueError(f"unknown relation {relation!r}")
+        return fn(alg, genus, degree, table=table)
+    if n is None:
+        raise ValueError(f"{relation} needs an arrow level n")
+    return fn(alg, n, degree, table=table)
 
 
-def run_battery(alg, degree_genus0, degree_higher, genera=(0, 1, 2),
-                ns=(0, 1, 2), table=None, max_budget=MAX_LEAF_BUDGET):
+def run_battery(alg, degree_genus0, degree_higher, table=None):
     """The full battery: WDVV and the constant relation at the genus-0
     degree; string/dilaton per genus and the recursions per level at the
     higher-genus degree."""
     if table is None:
         table = PotentialTable(alg)
-    out = [check_wdvv(alg, degree_genus0, table=table, max_budget=max_budget),
-           check_const_relation(alg, degree_genus0, table=table,
-                                max_budget=max_budget)]
-    for g in genera:
-        out.append(check_string(alg, g, degree_higher, table=table,
-                                max_budget=max_budget))
-        out.append(check_dilaton(alg, g, degree_higher, table=table,
-                                 max_budget=max_budget))
-    for n in ns:
-        out.append(check_trr0(alg, n, degree_higher, table=table,
-                              max_budget=max_budget))
-        out.append(check_trr1(alg, n, degree_higher, table=table,
-                              max_budget=max_budget))
-        out.append(check_trr2(alg, n, degree_higher, table=table,
-                              max_budget=max_budget))
+    out = [check(alg, degree_genus0, table=table)
+           for check in (check_wdvv, check_const_relation)]
+    out += [check(alg, g, degree_higher, table=table)
+            for g in (0, 1, 2) for check in (check_string, check_dilaton)]
+    out += [check(alg, n, degree_higher, table=table) for n in (0, 1, 2)
+            for check in (check_trr0, check_trr1, check_trr2)]
     return out

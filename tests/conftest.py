@@ -1,5 +1,6 @@
-"""Shared fixtures: the builtin algebras, two hand-built variants, and a
-random-graph generator for fuzz comparisons."""
+"""Shared fixtures: the builtin algebras, two hand-built variants, a
+perturbed potential table, and a random-graph generator for fuzz
+comparisons."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from cyclichodge.algebra import parse_algebra
 from cyclichodge.builtin import load_builtin
 from cyclichodge.graphs import MarkedGraph
+from cyclichodge.potentials import PotentialTable
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +58,22 @@ def scaled2():
     """Q[x]/(x^2) with integral(x) = 3: the pairing on H_0 differs from
     its inverse, so it separates the two pairing conventions."""
     return parse_algebra(SCALED2_OBJ, name="scaled2")
+
+
+class PerturbedTable(PotentialTable):
+    """A potential table whose (g, n) potential has `delta` added, split
+    by leaf count so that every leaf window stays exact."""
+
+    def __init__(self, alg, g, n, delta):
+        super().__init__(alg)
+        self.perturbed = (g, n)
+        self.delta = delta
+
+    def piece(self, g, n, ell):
+        out = super().piece(g, n, ell)
+        if (g, n) == self.perturbed:
+            out = out + self.delta.level_zero_degree_part(ell)
+        return out
 
 
 def random_connected_graph(rng, dim, couplings=True, max_vertices=3):

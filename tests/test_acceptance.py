@@ -14,7 +14,7 @@ from cyclichodge.contract import evaluate_graph, oracle_evaluate, random_plan
 from cyclichodge.graphs import MarkedGraph
 from cyclichodge.poly import Poly, parse_rational
 from cyclichodge.potentials import (
-    compute_potential, enumerate_desc, enumerate_sm, kdv_coefficient,
+    PotentialTable, enumerate_desc, enumerate_sm, kdv_coefficient,
 )
 from cyclichodge.relations import check_trr1, check_trr2, run_battery
 from conftest import random_connected_graph
@@ -33,9 +33,10 @@ def criterion(num, label):
 
 def test_criterion_1_one_point_series(trivial):
     with criterion(1, "one-point series vs closed form, g<=2"):
+        table = PotentialTable(trivial)
         for g in range(3):
             for m in range(7):
-                pot = compute_potential(trivial, g, m, 6)
+                pot = table.potential(g, m, 6)
                 expect = Poly.zero()
                 for k in range(7):
                     coeff = kdv_coefficient(g, m, k)
@@ -43,12 +44,12 @@ def test_criterion_1_one_point_series(trivial):
                         vars_ = [(0, 1)] * k + ([] if m == 0 else [(m, 1)])
                         expect = expect + Poly.monomial(vars_, coeff)
                 assert pot == expect, (g, m)
-        f01 = compute_potential(trivial, 0, 1, 3)
+        f01 = table.potential(0, 1, 3)
         assert f01.coefficient(((0, 1), (0, 1), (0, 1), (1, 1))) == \
             Fraction(1, 6)
-        f11 = compute_potential(trivial, 1, 1, 0)
+        f11 = table.potential(1, 1, 0)
         assert f11.coefficient(((1, 1),)) == Fraction(1, 24)
-        f24 = compute_potential(trivial, 2, 4, 0)
+        f24 = table.potential(2, 4, 0)
         assert f24.coefficient(((4, 1),)) == Fraction(1, 1152)
 
 

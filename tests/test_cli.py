@@ -12,6 +12,11 @@ from cyclichodge.poly import Poly
 from conftest import DUAL2_OBJ
 
 
+TRIVIAL_OBJ = {"dim": 1, "parity": [0], "unit": 1,
+               "product": [[1, 1, 1, "1"]], "integral": ["1"],
+               "hodge": {"H0": [1], "blocks": []}}
+
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "cyclichodge", *args],
                           capture_output=True, text=True, timeout=120)
@@ -203,3 +208,32 @@ class TestBadInput:
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli("frobnicate")
         assert rc == 2
+
+    @pytest.mark.parametrize("kind,obj", [
+        ("graph", {"vertices": 1, "edges": [[None, 1, "GG"]]}),
+        ("graph", {"vertices": 1, "edges": [[1.0, 1, "GG"]]}),
+        ("graph", {"vertices": 1, "leaves": [[1, 5]]}),
+        ("graph", {"vertices": 1, "leaves": [[True, "E0"]]}),
+        ("graph", {"vertices": 1, "edges": 5}),
+        ("graph", {"vertices": True}),
+        ("algebra", dict(DUAL2_OBJ, hodge={"H0": 5, "blocks": []})),
+        ("algebra", dict(DUAL2_OBJ, hodge={"H0": [1, 2], "blocks": None})),
+        ("algebra", dict(TRIVIAL_OBJ, dim=True)),
+        ("algebra", dict(DUAL2_OBJ, unit=True)),
+        ("algebra", dict(DUAL2_OBJ, parity=[False, 0])),
+        ("algebra", dict(DUAL2_OBJ, hodge={"H0": [True, 2], "blocks": []})),
+    ], ids=["null-index", "float-index", "int-mark", "bool-index",
+            "edges-not-list", "bool-vertices", "H0-not-list",
+            "blocks-not-list", "bool-dim", "bool-unit", "bool-parity",
+            "bool-H0-index"])
+    def test_one_line_error(self, tmp_path, graph_file, kind, obj):
+        # malformed input of any shape: a single error line and exit 2,
+        # never a traceback and never a silently accepted file
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        graph = str(path) if kind == "graph" else graph_file
+        algebra = str(path) if kind == "algebra" else "trivial"
+        rc, out, err = run_cli("eval", "--algebra", algebra, "--graph", graph)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1

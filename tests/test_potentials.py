@@ -7,10 +7,9 @@ import pytest
 from cyclichodge.algebra import AlgebraError, parse_algebra
 from cyclichodge.poly import Poly
 from cyclichodge.potentials import (
-    PotentialTable, compute_potential, enumerate_desc, enumerate_sm,
-    kdv_coefficient,
+    PotentialTable, enumerate_desc, enumerate_sm, kdv_coefficient,
 )
-from conftest import DUAL2_OBJ
+from conftest import DUAL2_OBJ, PerturbedTable
 
 
 def T(n, i):
@@ -114,9 +113,10 @@ class TestTrivialClosedForm:
 
     def test_pipeline_matches_closed_form(self, trivial):
         kmax = 6
+        table = PotentialTable(trivial)
         for g in range(3):
             for m in range(7):
-                pot = compute_potential(trivial, g, m, kmax)
+                pot = table.potential(g, m, kmax)
                 for k in range(kmax + 1):
                     if m == 0:
                         mono = tuple(sorted([(0, 1)] * k))
@@ -131,32 +131,33 @@ class TestDualClosedForms:
     def test_genus_zero_primary(self, dual2):
         # only the three-leaf vertex survives: every propagator class
         # carries the vanishing GG bivector
-        pot = compute_potential(dual2, 0, 0, 6)
+        pot = PotentialTable(dual2).potential(0, 0, 6)
         assert pot == T(0, 2) * pw(T(0, 1), 2) * Fraction(1, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_genus_zero_descendants(self, dual2, n):
-        pot = compute_potential(dual2, 0, n, n + 2)
+        pot = PotentialTable(dual2).potential(0, n, n + 2)
         expect = (T(n, 1) * pw(T(0, 1), n + 1) * T(0, 2) * (n + 2)
                   + T(n, 2) * pw(T(0, 1), n + 2)) * Fraction(1, fact(n + 2))
         assert pot == expect
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_genus_one_descendants(self, dual2, n):
-        pot = compute_potential(dual2, 1, n, n)
+        pot = PotentialTable(dual2).potential(1, n, n)
         expect = T(n, 1) * pw(T(0, 1), n - 1) * Fraction(1, 12 * fact(n - 1))
         assert pot == expect
 
     def test_genus_two_vanishes(self, dual2):
         # each handle window needs the non-unit direction, and its
         # square is zero
+        table = PotentialTable(dual2)
         for n in range(6):
-            assert compute_potential(dual2, 2, n, 5).is_zero()
+            assert table.potential(2, n, 5).is_zero()
 
 
 class TestBlockAlgebra:
     def test_cubic_term(self, block6):
-        pot = compute_potential(block6, 0, 0, 3)
+        pot = PotentialTable(block6).potential(0, 0, 3)
         assert pot == T(0, 1) * T(0, 1) * T(0, 2) * Fraction(1, 2)
 
     def test_gg_classes_contribute_nothing(self, block6):
@@ -171,7 +172,7 @@ class TestBlockAlgebra:
 
     def test_handle_window(self, block6):
         # weight 1/24 times the supertrace window 2 T[1,1]
-        pot = compute_potential(block6, 1, 1, 1)
+        pot = PotentialTable(block6).potential(1, 1, 1)
         assert pot == T(1, 1) * Fraction(1, 12)
 
 
@@ -209,21 +210,15 @@ class TestTableBehavior:
             table.potential(0, 0, -1)
 
     def test_inject_is_local(self, dual2):
-        table = PotentialTable(dual2)
-        clean = table.potential(0, 0, 4)
-        other = table.potential(1, 0, 4)
+        clean = PotentialTable(dual2)
         delta = pw(T(0, 1), 3) * Fraction(5) + pw(T(0, 1), 9)
-        table.inject(0, 0, delta)
-        assert table.potential(0, 0, 4) == clean + pw(T(0, 1), 3) * Fraction(5)
-        assert table.potential(1, 0, 4) == other
-
-    def test_shared_tables_are_unpolluted(self, dual2):
-        before = compute_potential(dual2, 0, 0, 4)
-        table = PotentialTable(dual2)
-        table.inject(0, 0, pw(T(0, 1), 2))
-        assert compute_potential(dual2, 0, 0, 4) == before
+        table = PerturbedTable(dual2, 0, 0, delta)
+        assert table.potential(0, 0, 4) == \
+            clean.potential(0, 0, 4) + pw(T(0, 1), 3) * Fraction(5)
+        assert table.potential(1, 0, 4) == clean.potential(1, 0, 4)
 
     @pytest.mark.parametrize("g,n,L", [(0, 0, 5), (1, 1, 3), (0, 2, 4)])
     def test_prune_is_transparent(self, dual2, g, n, L):
-        assert (compute_potential(dual2, g, n, L)
-                == compute_potential(dual2, g, n, L, prune_empty_h4=False))
+        pruned = PotentialTable(dual2)
+        full = PotentialTable(dual2, prune_empty_h4=False)
+        assert pruned.potential(g, n, L) == full.potential(g, n, L)

@@ -1,16 +1,16 @@
-"""Identity battery: clean passes, injected failures, report shapes."""
+"""Identity battery: clean passes, perturbed potentials, report shapes."""
 
 from fractions import Fraction
 
 import pytest
 
 from cyclichodge.poly import Poly, parse_rational
-from cyclichodge.potentials import PotentialTable
 from cyclichodge.relations import (
     MAX_LEAF_BUDGET, BudgetError, RELATIONS, check_const_relation,
     check_dilaton, check_string, check_trr0, check_trr1, check_trr2,
     check_wdvv, run_battery, run_check,
 )
+from conftest import PerturbedTable
 
 
 def T(n, i):
@@ -55,58 +55,63 @@ class TestCleanBattery:
 
 class TestInjectedFailures:
     """Each relation must notice a perturbation of the one potential it
-    constrains."""
+    constrains.  The reports are pinned exactly: the witness, the failing
+    slices and, for the recursions, the term breakdown of the witness
+    slice."""
 
-    def _table(self, alg, g, n, delta):
-        table = PotentialTable(alg)
-        table.inject(g, n, delta)
-        return table
+    def assert_report(self, res, witness, failing):
+        assert not res.ok
+        assert "FAIL" in res.summary_line()
+        label, mono, coeff = witness
+        assert res.witness == (label, mono, Fraction(coeff))
+        assert [k for k, r in res.residuals.items() if not r.is_zero()] == \
+            failing
 
     def test_wdvv(self, dual2):
         # residual picks up d3(1,1,1) d3(2,2,2) - d3(1,2,2) d3(1,1,2)
-        table = self._table(dual2, 0, 0, T(0, 1) * T(0, 2) * T(0, 2))
+        table = PerturbedTable(dual2, 0, 0, T(0, 1) * T(0, 2) * T(0, 2))
         res = check_wdvv(dual2, 0, table=table)
-        assert not res.ok
-        assert res.witness is not None
-        assert "FAIL" in res.summary_line()
+        self.assert_report(res, ("a=1,b=1,c=2,d=2", (), -2),
+                           ["a=1,b=1,c=2,d=2", "a=1,b=2,c=1,d=2",
+                            "a=2,b=1,c=2,d=1", "a=2,b=2,c=1,d=1"])
 
     def test_const(self, dual2):
-        table = self._table(dual2, 0, 0,
-                            T(0, 1) * T(0, 1) * T(0, 2) * T(0, 2))
+        table = PerturbedTable(dual2, 0, 0,
+                               T(0, 1) * T(0, 1) * T(0, 2) * T(0, 2))
         res = check_const_relation(dual2, 2, table=table)
-        assert not res.ok
+        self.assert_report(res, ("all", ((0, 1),), 32), ["all"])
 
     def test_string(self, dual2):
-        table = self._table(dual2, 1, 1, T(1, 1) * T(0, 1))
+        table = PerturbedTable(dual2, 1, 1, T(1, 1) * T(0, 1))
         res = check_string(dual2, 1, 1, table=table)
-        assert not res.ok
-        label, mono, coeff = res.witness
-        assert label.startswith("level=")
+        self.assert_report(res, ("level=1", ((1, 1),), 1), ["level=1"])
 
     def test_dilaton(self, dual2):
-        table = self._table(dual2, 1, 1,
-                            T(1, 1) * T(0, 1) * T(0, 1))
+        table = PerturbedTable(dual2, 1, 1, T(1, 1) * T(0, 1) * T(0, 1))
         res = check_dilaton(dual2, 1, 2, table=table)
-        assert not res.ok
+        self.assert_report(res, ("all", ((0, 1), (0, 1)), 1), ["all"])
 
     def test_trr0(self, dual2):
-        table = self._table(dual2, 0, 2,
-                            T(2, 1) * T(0, 1) * T(0, 1) * T(0, 1))
+        table = PerturbedTable(dual2, 0, 2,
+                               T(2, 1) * T(0, 1) * T(0, 1) * T(0, 1))
         res = check_trr0(dual2, 1, 1, table=table)
-        assert not res.ok
+        self.assert_report(res, ("a=1,b=1,c=1", ((0, 1),), 6),
+                           ["a=1,b=1,c=1"])
 
     def test_trr1(self, dual2):
-        table = self._table(dual2, 1, 2, T(2, 1) * T(0, 1))
+        table = PerturbedTable(dual2, 1, 2, T(2, 1) * T(0, 1))
         res = check_trr1(dual2, 1, 1, table=table)
-        assert not res.ok
+        self.assert_report(res, ("a=1", ((0, 1),), 1), ["a=1"])
+        assert res.details["term_constants"]["a=1"] == ["0"] * 3
 
     def test_trr2(self, dual2):
-        table = self._table(dual2, 2, 2, T(2, 1) * T(0, 1))
+        table = PerturbedTable(dual2, 2, 2, T(2, 1) * T(0, 1))
         res = check_trr2(dual2, 0, 1, table=table)
-        assert not res.ok
+        self.assert_report(res, ("a=1", ((0, 1),), 1), ["a=1"])
+        assert res.details["term_constants"]["a=1"] == ["0"] * 9
 
     def test_clean_rerun_still_green(self, dual2):
-        # injected tables never leak into fresh ones
+        # perturbed tables never leak into fresh ones
         assert check_wdvv(dual2, 0).ok
 
 
@@ -146,8 +151,7 @@ class TestReports:
         assert "pass" in res.summary_line()
 
     def test_fail_json(self, dual2):
-        table = PotentialTable(dual2)
-        table.inject(1, 2, T(2, 1) * T(0, 1))
+        table = PerturbedTable(dual2, 1, 2, T(2, 1) * T(0, 1))
         res = check_trr1(dual2, 1, 1, table=table)
         obj = res.to_json_obj()
         assert obj["ok"] is False
