@@ -11,8 +11,8 @@ from .algebra import (AlgebraError, AxiomReport, CHAlgebra, DegeneracyError,
 from .builtin import BUILTIN_NAMES, load_builtin
 from .contract import (EvalPlan, evaluate_graph, make_plan, oracle_evaluate,
                        random_plan)
-from .graded import Operator, koszul_sign, supertrace
-from .graphs import (MarkedGraph, graph_genus, is_valid_descendant_graph,
+from .graded import Operator, supertrace
+from .graphs import (MarkedGraph, is_valid_descendant_graph,
                      is_valid_smooth_graph, load_graph)
 from .poly import Poly
 from .potentials import (PotentialTable, WeightedGraphClass, enumerate_desc,

@@ -17,29 +17,6 @@ class SingularMatrixError(ValueError):
     """Raised when an exact inverse is requested of a singular matrix."""
 
 
-def koszul_sign(perm, parities):
-    """Sign picked up when a word of graded symbols is reordered.
-
-    ``perm[j]`` is the index, in the original word, of the symbol that
-    lands at position ``j`` of the reordered word; ``parities[i]`` is the
-    parity of original symbol ``i``.  Each crossing of two odd symbols
-    contributes a factor -1, so the result is (-1)**(odd-odd inversions).
-    """
-    n = len(perm)
-    if len(parities) != n or sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of range(len(parities))")
-    sign = 1
-    for j in range(n):
-        pj = perm[j]
-        if not parities[pj]:
-            continue
-        for k in range(j + 1, n):
-            pk = perm[k]
-            if pj > pk and parities[pk]:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # exact dense matrices (tuples of tuples of Fraction)
 
@@ -49,11 +26,6 @@ def as_matrix(rows):
 
 def identity_matrix(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def zero_matrix(n, m=None):
-    m = n if m is None else m
-    return tuple((Fraction(0),) * m for _ in range(n))
 
 
 def mat_mul(a, b):
@@ -77,17 +49,8 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c, a):
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def transpose(a):
     return tuple(zip(*a)) if a else ()
-
-
-def mat_is_zero(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def mat_inverse(a):
@@ -157,9 +120,6 @@ class Operator:
             raise ValueError("cannot subtract operators of different parity")
         return Operator(mat_sub(self.mat, other.mat), self.parity)
 
-    def scale(self, c):
-        return Operator(mat_scale(c, self.mat), self.parity)
-
     def apply(self, coords):
         """Apply to a sparse coordinate dict {index: Fraction}."""
         out = {}
@@ -171,17 +131,6 @@ class Operator:
                 if m != 0:
                     out[i] = out.get(i, Fraction(0)) + m * c
         return {i: c for i, c in out.items() if c != 0}
-
-    def is_zero(self):
-        return mat_is_zero(self.mat)
-
-    def parity_consistent(self, parities):
-        """True if every nonzero entry shifts parity by self.parity."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.mat[i][j] != 0 and (parities[i] - parities[j]) % 2 != self.parity:
-                    return False
-        return True
 
     def __eq__(self, other):
         return (isinstance(other, Operator)

@@ -144,7 +144,7 @@ class MarkedGraph:
             [(perm[v], m) for (v, m) in self.leaves])
 
     def _refined_classes(self):
-        """1-dimensional color refinement; returns (ranks, ordered classes).
+        """1-dimensional color refinement; returns the classes by rank.
 
         Ranks are comparable across isomorphic graphs: each round sorts
         the (previous rank, neighborhood multiset) signatures and
@@ -173,64 +173,61 @@ class MarkedGraph:
         classes = {}
         for v in range(V):
             classes.setdefault(ranks[v], []).append(v)
-        ordered = [classes[r] for r in sorted(classes)]
-        return ranks, ordered
+        return [classes[r] for r in sorted(classes)]
 
     @staticmethod
     def _compress(sig):
         order = {s: i for i, s in enumerate(sorted(set(sig)))}
         return [order[s] for s in sig]
 
-    def _orderings(self):
-        _, classes = self._refined_classes()
+    def _least_encoding(self):
+        """One sweep over the refined orderings: the least encoding and
+        how many orderings reach it.
+
+        Two orderings reach the same encoding exactly when the vertex
+        permutation between them preserves the marked structure, so the
+        count is the number of such permutations.
+        """
+        classes = self._refined_classes()
+        marks = [(self.leaf_marks_at(v),) for v in range(self.n_vertices)]
+        best, count = None, 0
         for combo in product(*(permutations(c) for c in classes)):
             order = [v for cls in combo for v in cls]
-            yield order
-
-    def _encode(self, order):
-        newid = {v: i for i, v in enumerate(order)}
-        verts = tuple((self.leaf_marks_at(v),) for v in order)
-        edges = tuple(sorted(
-            (min(newid[u], newid[v]), max(newid[u], newid[v]), m)
-            for (u, v, m) in self.edges))
-        return (self.n_vertices, verts, edges)
+            newid = {v: i for i, v in enumerate(order)}
+            encoding = (self.n_vertices, tuple(marks[v] for v in order),
+                        tuple(sorted((min(newid[u], newid[v]),
+                                      max(newid[u], newid[v]), m)
+                                     for (u, v, m) in self.edges)))
+            if best is None or encoding < best:
+                best, count = encoding, 1
+            elif encoding == best:
+                count += 1
+        return best, count
 
     def canonical_form(self):
         """Isomorphism-invariant string key (same key iff same marked graph
         up to renaming vertices and reordering edges/leaves)."""
-        best = min(self._encode(order) for order in self._orderings())
-        return repr(best)
+        return repr(self._least_encoding()[0])
 
-    def _pair_marks(self):
-        pairs = {}
-        for (u, v, m) in self.edges:
-            pairs.setdefault((u, v), []).append(m)
-        return {k: tuple(sorted(v)) for k, v in pairs.items()}
+    def canonical_graph(self):
+        """The isomorphism class's canonical representative: vertices in
+        the order of the least encoding, edges and leaves sorted."""
+        n_vertices, verts, edges = self._least_encoding()[0]
+        return MarkedGraph(n_vertices, edges,
+                           [(v, m) for v, (marks,) in enumerate(verts)
+                            for m in marks])
 
     def automorphism_order(self):
         """Order of the automorphism group acting on half-edges.
 
-        Counts vertex permutations preserving the marked structure, then
-        multiplies by the stabilizer lifts: k! for k parallel equal-mark
-        edges, 2^l l! for l equal-mark loops at a vertex, k! for k
-        equal-mark leaves at a vertex.
+        The vertex permutations preserving the marked structure (counted
+        by the canonical-form sweep), times the stabilizer lifts: k! for
+        k parallel equal-mark edges, 2^l l! for l equal-mark loops at a
+        vertex, k! for k equal-mark leaves at a vertex.
         """
-        pairs = self._pair_marks()
-        _, classes = self._refined_classes()
-        n_sigma = 0
-        for combo in product(*(permutations(c) for c in classes)):
-            sigma = {}
-            for cls, image in zip(classes, combo):
-                for v, w in zip(cls, image):
-                    sigma[v] = w
-            ok = True
-            for (u, v), marks in pairs.items():
-                a, b = sigma[u], sigma[v]
-                if pairs.get((min(a, b), max(a, b))) != marks:
-                    ok = False
-                    break
-            if ok:
-                n_sigma += 1
+        pairs = {}
+        for (u, v, m) in self.edges:
+            pairs.setdefault((u, v), []).append(m)
         lifts = 1
         for (u, v), marks in pairs.items():
             for m in set(marks):
@@ -243,7 +240,7 @@ class MarkedGraph:
             marks = self.leaf_marks_at(v)
             for m in set(marks):
                 lifts *= factorial(marks.count(m))
-        return n_sigma * lifts
+        return self._least_encoding()[1] * lifts
 
     # -- serialization --------------------------------------------------------
 
@@ -307,10 +304,6 @@ def _is_entry(ent, width):
 def load_graph(path):
     with open(path, "r", encoding="utf-8") as fh:
         return MarkedGraph.from_json_obj(json.load(fh))
-
-
-def graph_genus(graph):
-    return graph.genus()
 
 
 # ---------------------------------------------------------------------------

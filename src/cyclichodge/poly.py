@@ -18,7 +18,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 def parse_rational(s):
     """Parse 'p' or 'p/q' (q > 0) into a Fraction; reject anything else."""
-    if isinstance(s, int):
+    # type(s) is int: JSON true/false load as bools, which are ints
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
         raise ValueError(f"not a rational literal: {s!r}")
@@ -244,11 +245,18 @@ class Poly:
 
     @classmethod
     def from_json_obj(cls, obj):
-        if not isinstance(obj, dict) or "terms" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
             raise ValueError("polynomial JSON must be an object with a 'terms' list")
         out = {}
         for t in obj["terms"]:
-            mono = _normalize_mono(tuple((int(n), int(i)) for n, i in t["vars"]))
+            if not (isinstance(t, dict) and "coeff" in t
+                    and isinstance(t.get("vars"), list)
+                    and all(isinstance(var, list) and len(var) == 2
+                            and all(type(x) is int for x in var)
+                            for var in t["vars"])):
+                raise ValueError(f"bad term {t!r}: need 'coeff' and 'vars', "
+                                 "a list of [level, slot] integer pairs")
+            mono = _normalize_mono(tuple(tuple(var) for var in t["vars"]))
             out[mono] = out.get(mono, Fraction(0)) + parse_rational(t["coeff"])
         return cls(out)
 

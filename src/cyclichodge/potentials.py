@@ -11,15 +11,27 @@ Leaf counts organize the sums: a class with exactly l E0 leaves
 contributes monomials with exactly l level-0 factors, so the potential
 truncated to l <= L is exact in every monomial it keeps.
 
-Over an algebra with no 4-blocks every GG bivector vanishes, so only
-classes without GG edges can contribute; enumeration skips the rest up
-front unless pruning is disabled.
+Both sums grow their classes from a rose, one vertex 0 carrying g - g'
+GG loops, the g' handles, the arrow (one-point sum only) and all E0
+leaves, by V - 1 splits, deduplicated by canonical form after each.  A
+split moves an unordered pair of GG half-edges or E0 leaves off vertex 0
+onto a new vertex joined to vertex 0 by a GG edge.  It keeps the graph
+connected and its genus and leaves the new vertex trivalent, so vertex 0
+ends with exactly its required germs; contracting a GG edge from vertex
+0 to a plain neighbour undoes it, and every class reduces to its rose
+that way, so the list is complete.  Classes are stored as canonical
+representatives: contraction cost depends on the labeling (one sign
+factor per inverted half-edge pair), so it must not follow generation.
+
+Over an algebra with no 4-blocks every GG bivector vanishes, so unless
+pruning is disabled only a rose with no GG loop that needs no split is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .algebra import AlgebraError, check_axioms
@@ -40,72 +52,52 @@ class WeightedGraphClass:
 
 
 # ---------------------------------------------------------------------------
-# multigraph backbone enumeration
+# class generation: split a one-vertex rose
 
 
-def _multigraphs(degrees):
-    """All loops/multi-edge structures on labeled vertices realizing the
-    degree sequence (a loop eats 2 from its vertex).  Returns a list of
-    (loops, edges) with loops[v] a count and edges a dict (u, v) -> mult
-    for u < v."""
-    V = len(degrees)
-    out = []
-
-    def place(v, res, loops, edges):
-        if v == V:
-            out.append((tuple(loops), dict(edges)))
-            return
-        d = res[v]
-        for nl in range(d // 2 + 1):
-            rem = d - 2 * nl
-
-            def spread(w, left, acc):
-                if left == 0:
-                    new_res = list(res)
-                    new_res[v] = 0
-                    for ww, c in acc:
-                        new_res[ww] -= c
-                    new_edges = dict(edges)
-                    for ww, c in acc:
-                        if c:
-                            new_edges[(v, ww)] = c
-                    place(v + 1, new_res, loops + [nl], new_edges)
-                    return
-                if w == V:
-                    return
-                for c in range(min(left, res[w]), -1, -1):
-                    spread(w + 1, left - c, acc + [(w, c)])
-
-            spread(v + 1, rem, [])
-
-    place(0, list(degrees), [], {})
-    return out
-
-
-def _compositions(total, bounds):
-    """All tuples c with sum(c) = total and 0 <= c[i] <= bounds[i]."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(bounds):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        hi = min(left, bounds[i])
-        for c in range(hi, -1, -1):
-            rec(i + 1, left - c, acc + [c])
-
-    rec(0, total, [])
-    return out
+def _split(graph):
+    """Every graph made by moving an unordered pair of GG half-edges or E0
+    leaves off vertex 0 onto a new vertex w joined to vertex 0 by GG."""
+    w = graph.n_vertices
+    # a germ is (table, entry, slot): table 0 holds edges, table 1 leaves
+    germs = [(0, e, end) for e, edge in enumerate(graph.edges)
+             if edge[2] == "GG" for end in (0, 1) if edge[end] == 0]
+    # the E0 leaves at vertex 0 are interchangeable: two cover every choice
+    germs += [(1, j, 0) for j, leaf in enumerate(graph.leaves)
+              if leaf == (0, "E0")][:2]
+    for pair in combinations(germs, 2):
+        edges, leaves = tables = ([list(edge) for edge in graph.edges],
+                                  [list(leaf) for leaf in graph.leaves])
+        for table, entry, slot in pair:
+            tables[table][entry][slot] = w
+        yield MarkedGraph(w + 1, edges + [(0, w, "GG")], leaves)
 
 
 def _dedup(graphs):
-    seen = {}
-    for graph in graphs:
-        key = graph.canonical_form()
-        if key not in seen:
-            seen[key] = graph
-    return [seen[k] for k in sorted(seen)]
+    """One graph of each isomorphism class, keyed by canonical form."""
+    return {graph.canonical_form(): graph for graph in graphs}
+
+
+def _classes(roses, valid):
+    """The weighted classes grown from each rose by its number of splits,
+    as canonical representatives in canonical-form order."""
+    found = {}
+    for rose, splits in roses:
+        layer = _dedup([rose])
+        for _ in range(splits):
+            layer = _dedup(child for graph in layer.values()
+                           for child in _split(graph))
+        found.update(layer)
+    classes = []
+    for key in sorted(found):
+        graph = found[key].canonical_graph()
+        ok, why = valid(graph)
+        assert ok, why
+        handles = sum(m == "IDLOOP" for (_, _, m) in graph.edges)
+        aut = graph.automorphism_order()
+        classes.append(WeightedGraphClass(
+            graph, Fraction(1, 12) ** handles / aut, aut, handles))
+    return classes
 
 
 def enumerate_sm(g, L, _no_gg=False):
@@ -113,36 +105,11 @@ def enumerate_sm(g, L, _no_gg=False):
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     V = 2 * g - 2 + L
-    if V < 1:
+    if V < 1 or (_no_gg and (g > 0 or V > 1)):
         return []
-    E = V + g - 1
-    if _no_gg and E > 0:
-        return []
-    candidates = []
-    for leaf_counts in _compositions(L, [3] * V):
-        degrees = [3 - c for c in leaf_counts]
-        if any(d < 0 for d in degrees):
-            continue
-        if sum(degrees) != 2 * E:
-            continue
-        for loops, edges in _multigraphs(degrees):
-            edge_list = []
-            for v, nl in enumerate(loops):
-                edge_list.extend([(v, v, "GG")] * nl)
-            for (u, w), c in edges.items():
-                edge_list.extend([(u, w, "GG")] * c)
-            leaves = [(v, "E0") for v in range(V) for _ in range(leaf_counts[v])]
-            graph = MarkedGraph(V, edge_list, leaves)
-            if not graph.is_connected():
-                continue
-            candidates.append(graph)
-    classes = []
-    for graph in _dedup(candidates):
-        ok, why = is_valid_smooth_graph(graph, g)
-        assert ok, why
-        aut = graph.automorphism_order()
-        classes.append(WeightedGraphClass(graph, Fraction(1, aut), aut, 0))
-    return classes
+    rose = MarkedGraph(1, [(0, 0, "GG")] * g, [(0, "E0")] * L)
+    return _classes([(rose, V - 1)],
+                    lambda graph: is_valid_smooth_graph(graph, g))
 
 
 def enumerate_desc(g, n, L, _no_gg=False):
@@ -152,50 +119,18 @@ def enumerate_desc(g, n, L, _no_gg=False):
         raise ValueError("genus and leaf count must be nonnegative")
     if n < 1:
         raise ValueError("arrow level must be >= 1; level 0 is the primary sum")
-    candidates = []
+    roses = []
     for handles in range(g + 1):
         mprime = n + 3 - 3 * handles
-        if mprime < 1:
-            continue
         V = 2 * g - 2 * handles - mprime + L + 2
-        if V < 1:
+        if mprime < 1 or V < 1 or (_no_gg and (g > handles or V > 1)):
             continue
-        E_gg = V + (g - handles) - 1
-        if E_gg < 0:
-            continue
-        if _no_gg and E_gg > 0:
-            continue
-        # distribute the E0 leaves: a0 at the special vertex 0 (capped by
-        # its m' - 1 non-arrow germs), 0..3 at each plain vertex
-        for leaf_counts in _compositions(L, [mprime - 1] + [3] * (V - 1)):
-            degrees = [mprime - 1 - leaf_counts[0]]
-            degrees += [3 - leaf_counts[v] for v in range(1, V)]
-            if any(d < 0 for d in degrees):
-                continue
-            if sum(degrees) != 2 * E_gg:
-                continue
-            for loops, edges in _multigraphs(degrees):
-                edge_list = [(0, 0, "IDLOOP")] * handles
-                for v, nl in enumerate(loops):
-                    edge_list.extend([(v, v, "GG")] * nl)
-                for (u, w), c in edges.items():
-                    edge_list.extend([(u, w, "GG")] * c)
-                leaves = [(0, f"E{n}")]
-                leaves += [(v, "E0") for v in range(V)
-                           for _ in range(leaf_counts[v])]
-                graph = MarkedGraph(V, edge_list, leaves)
-                if not graph.is_connected():
-                    continue
-                candidates.append(graph)
-    classes = []
-    for graph in _dedup(candidates):
-        ok, why = is_valid_descendant_graph(graph, g, n)
-        assert ok, why
-        handles = sum(1 for (_, _, m) in graph.edges if m == "IDLOOP")
-        aut = graph.automorphism_order()
-        weight = Fraction(1, 12) ** handles / aut
-        classes.append(WeightedGraphClass(graph, weight, aut, handles))
-    return classes
+        rose = MarkedGraph(1, [(0, 0, "GG")] * (g - handles)
+                           + [(0, 0, "IDLOOP")] * handles,
+                           [(0, f"E{n}")] + [(0, "E0")] * L)
+        roses.append((rose, V - 1))
+    return _classes(roses,
+                    lambda graph: is_valid_descendant_graph(graph, g, n))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +210,5 @@ def kdv_coefficient(g, m, k):
     return Fraction(0)
 
 
-__all__ = [
-    "WeightedGraphClass", "enumerate_sm", "enumerate_desc",
-    "PotentialTable", "kdv_coefficient",
-]
+__all__ = ["WeightedGraphClass", "enumerate_sm", "enumerate_desc",
+           "PotentialTable", "kdv_coefficient"]

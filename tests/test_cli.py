@@ -222,10 +222,12 @@ class TestBadInput:
         ("algebra", dict(DUAL2_OBJ, unit=True)),
         ("algebra", dict(DUAL2_OBJ, parity=[False, 0])),
         ("algebra", dict(DUAL2_OBJ, hodge={"H0": [True, 2], "blocks": []})),
+        ("algebra", dict(TRIVIAL_OBJ, integral=[True])),
+        ("algebra", dict(TRIVIAL_OBJ, product=[[1, 1, 1, True]])),
     ], ids=["null-index", "float-index", "int-mark", "bool-index",
             "edges-not-list", "bool-vertices", "H0-not-list",
             "blocks-not-list", "bool-dim", "bool-unit", "bool-parity",
-            "bool-H0-index"])
+            "bool-H0-index", "bool-integral", "bool-product-coeff"])
     def test_one_line_error(self, tmp_path, graph_file, kind, obj):
         # malformed input of any shape: a single error line and exit 2,
         # never a traceback and never a silently accepted file

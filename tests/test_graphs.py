@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cyclichodge.graphs import (
-    MarkedGraph, graph_genus, is_valid_descendant_graph, is_valid_smooth_graph,
+    MarkedGraph, is_valid_descendant_graph, is_valid_smooth_graph,
     leaf_basis_index, leaf_level,
 )
 from conftest import random_connected_graph
@@ -80,7 +80,6 @@ class TestBasics:
     def test_genus(self):
         theta = MarkedGraph(2, [(0, 1, "GG")] * 3)
         assert theta.genus() == 2
-        assert graph_genus(theta) == 2
         disconnected = MarkedGraph(2, [])
         assert not disconnected.is_connected()
         with pytest.raises(ValueError):

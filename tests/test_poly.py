@@ -16,7 +16,7 @@ class TestRationals:
         assert parse_rational(5) == 5
 
     @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "3/0", "3/-2",
-                                     " 1 / 2 ", "a", None, 1.5])
+                                     " 1 / 2 ", "a", None, 1.5, True, False])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -159,6 +159,24 @@ class TestSerialization:
     def test_json_shape_errors(self):
         with pytest.raises(ValueError):
             Poly.from_json('[1, 2]')
+
+    @pytest.mark.parametrize("obj", [
+        {"terms": 5},
+        {"terms": [{"coeff": "1"}]},
+        {"terms": [{"vars": [[0, 1]]}]},
+        {"terms": [5]},
+        {"terms": [{"vars": [[True, 1]], "coeff": "1"}]},
+        {"terms": [{"vars": [[0.7, 1]], "coeff": "1"}]},
+        {"terms": [{"vars": [["0", 1]], "coeff": "1"}]},
+        {"terms": [{"vars": [[None, 1]], "coeff": "1"}]},
+        {"terms": [{"vars": [[0, 1, 2]], "coeff": "1"}]},
+        {"terms": [{"vars": [[0, 1]], "coeff": True}]},
+    ], ids=["terms-not-list", "no-vars", "no-coeff", "term-not-object",
+            "bool-level", "float-level", "string-level", "null-level",
+            "triple", "bool-coeff"])
+    def test_json_rejects_malformed_terms(self, obj):
+        with pytest.raises(ValueError):
+            Poly.from_json_obj(obj)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3),
                               st.fractions(max_denominator=9)), max_size=6))

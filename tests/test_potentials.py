@@ -1,10 +1,12 @@
 """Potential assembly: enumeration anchors, closed forms, windows."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from cyclichodge.algebra import AlgebraError, parse_algebra
+from cyclichodge.graphs import MarkedGraph
 from cyclichodge.poly import Poly
 from cyclichodge.potentials import (
     PotentialTable, enumerate_desc, enumerate_sm, kdv_coefficient,
@@ -99,6 +101,22 @@ class TestDescendantEnumeration:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             enumerate_desc(0, 0, 3)
+
+    def test_classes_are_canonical_representatives(self):
+        # any relabeling of a stored class graph canonicalises back to it
+        rng = random.Random(3)
+        classes = enumerate_desc(2, 1, 3)
+        assert len(classes) == 78
+        for cls in classes:
+            graph = cls.graph
+            perm = list(range(graph.n_vertices))
+            rng.shuffle(perm)
+            edges = list(graph.relabel(perm).edges)
+            leaves = list(graph.relabel(perm).leaves)
+            rng.shuffle(edges)
+            rng.shuffle(leaves)
+            shuffled = MarkedGraph(graph.n_vertices, edges, leaves)
+            assert shuffled.canonical_graph() == graph
 
 
 class TestTrivialClosedForm:
