@@ -55,6 +55,16 @@ class CHAlgebra:
     blocks: tuple
     name: str = field(default="", compare=False)
 
+    def __hash__(self):
+        # The data is frozen, so hash its nested Fractions once: per-algebra
+        # caches (derive_ops, the contraction tensors) look it up per call.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.dim, self.parity, self.unit, self.product, self.q,
+                      self.gminus, self.integral, self.h0, self.blocks))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     # -- basic operations ------------------------------------------------
 
     def basis_product(self, i, j):

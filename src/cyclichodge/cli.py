@@ -32,7 +32,7 @@ def _load_alg(spec):
         return load_algebra(spec)
     if spec in BUILTIN_NAMES:
         return load_builtin(spec)
-    raise SystemExit(f"error: no such algebra file or builtin name: {spec}")
+    raise ValueError(f"no such algebra file or builtin name: {spec}")
 
 
 def cmd_eval(args):

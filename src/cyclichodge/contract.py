@@ -16,17 +16,29 @@ independent cycle - the operator is twisted by J: a -> (-1)^parity(a) a;
 the result does not depend on the choice.
 
 `evaluate_graph` eliminates half-edge variables one at a time over
-sparse factor tables; `oracle_evaluate` recomputes the same value by
-brute enumeration of all nonzero edge/leaf terms with signs from an
-explicit bubble sort.  They share only the primitive tensors, so
-agreement is a strong check of the bookkeeping.
+sparse factor tables, greedily taking the variable whose merged factor
+is cheapest.  Its constant tensors are built once per algebra, on first
+use: one bivector table per (edge mark, twist) and one vertex table per
+arity, cached by the full algebra data (equal algebras share them).
+Each is stored as int entries times 1/d for one positive integer d, so
+the joins multiply ints (and coupling Polys); the value is divided by
+the product of the denominators of the factors used, once, at the end.
+
+`oracle_evaluate` recomputes the same value by brute enumeration of all
+nonzero edge/leaf terms with signs from an explicit bubble sort.  It
+builds its own Fraction bivectors from `bivector` and `mark_matrix` on
+every call and uses neither the cache nor the integer scaling, so
+agreement checks those as well as the elimination bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import itemgetter
 
 from .algebra import derive_ops
 from .graded import identity_matrix, mat_mul, transpose
@@ -187,14 +199,15 @@ def leaf_vector(alg, mark):
     return {i: Fraction(1)}
 
 
-def _vertex_table(alg, germs):
+def _vertex_table(alg, arity):
     """Sparse table {(i_1,..,i_n): integral(e_i1 * .. * e_in)} over the
-    germ slots, built by left-to-right folding with zero pruning."""
+    n = arity germ slots, built by left-to-right folding with zero
+    pruning."""
     entries = {}
     dim = alg.dim
 
     def rec(pos, vec, key):
-        if pos == len(germs):
+        if pos == arity:
             if vec is None:
                 vec = alg.basis_vector(alg.unit)
             val = alg.integrate(vec)
@@ -213,34 +226,67 @@ def _vertex_table(alg, germs):
     return entries
 
 
+def _integer_table(table):
+    """(entries, d): the Fraction table times its least common denominator
+    d, so that every entry is an int."""
+    d = 1
+    for val in table.values():
+        d = lcm(d, val.denominator)
+    return {key: int(val * d) for key, val in table.items()}, d
+
+
+# Each algebra's tensors are built on first use and shared by every
+# evaluation, so nothing may mutate them.  The bounds hold 64 algebras'
+# worth: 8 edge marks times 2 twists, or 16 vertex arities.
+@lru_cache(maxsize=64 * 16)
+def _edge_tensor(alg, mark, twist):
+    return _integer_table(bivector(alg, mark_matrix(alg, mark), twist))
+
+
+@lru_cache(maxsize=64 * 16)
+def _vertex_tensor(alg, arity):
+    return _integer_table(_vertex_table(alg, arity))
+
+
 # ---------------------------------------------------------------------------
 # engine
+
+
+def _picker(positions):
+    """Function taking a key tuple to the tuple of its entries at
+    `positions` (at least one)."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda key: (key[p],)
+    return itemgetter(*positions)
 
 
 def _join(f1, f2):
     vars1, t1 = f1
     vars2, t2 = f2
-    shared = [v for v in vars1 if v in vars2]
-    out_vars = tuple(sorted(set(vars1) | set(vars2)))
-    pos1 = {v: i for i, v in enumerate(vars1)}
     pos2 = {v: i for i, v in enumerate(vars2)}
+    shared1 = [i for i, v in enumerate(vars1) if v in pos2]
+    shared2 = [pos2[vars1[i]] for i in shared1]
+    # an output key gathers its entries from key1 + key2, in sorted
+    # variable order
+    where = {v: len(vars1) + i for i, v in enumerate(vars2)}
+    where.update((v, i) for i, v in enumerate(vars1))
+    out_vars = tuple(sorted(where))
+    gather = _picker([where[v] for v in out_vars])
+    key1_shared, key2_shared = _picker(shared1), _picker(shared2)
     index2 = {}
     for key2, val2 in t2.items():
-        sk = tuple(key2[pos2[v]] for v in shared)
-        index2.setdefault(sk, []).append((key2, val2))
+        index2.setdefault(key2_shared(key2), []).append((key2, val2))
     out = {}
     for key1, val1 in t1.items():
-        sk = tuple(key1[pos1[v]] for v in shared)
-        for key2, val2 in index2.get(sk, ()):
-            assign = {v: key1[i] for v, i in pos1.items()}
-            assign.update({v: key2[i] for v, i in pos2.items()})
-            key = tuple(assign[v] for v in out_vars)
+        for key2, val2 in index2.get(key1_shared(key1), ()):
+            key = gather(key1 + key2)
             prod = val1 * val2
             if key in out:
                 out[key] = out[key] + prod
             else:
                 out[key] = prod
-    return (out_vars, {k: v for k, v in out.items() if v != 0})
+    return (out_vars, {k: v for k, v in out.items() if v})
 
 
 def _sum_out(factor, var):
@@ -254,23 +300,29 @@ def _sum_out(factor, var):
             out[k] = out[k] + val
         else:
             out[k] = val
-    return (out_vars, {k: v for k, v in out.items() if v != 0})
+    return (out_vars, {k: v for k, v in out.items() if v})
 
 
 def _build_factors(alg, graph, plan):
-    dim = alg.dim
+    """The factor tables of the contraction and the product of their
+    denominators."""
     factors = []
+    denominator = 1
     for v in plan.vertex_order:
-        factors.append((tuple(plan.germ_order[v]),
-                        _vertex_table(alg, plan.germ_order[v])))
+        table, d = _vertex_tensor(alg, len(plan.germ_order[v]))
+        factors.append((tuple(plan.germ_order[v]), table))
+        denominator *= d
     for k, (_, _, mark) in enumerate(graph.edges):
-        biv = bivector(alg, mark_matrix(alg, mark), k in plan.sign_edges)
-        factors.append(((2 * k, 2 * k + 1), dict(biv)))
+        table, d = _edge_tensor(alg, mark, k in plan.sign_edges)
+        factors.append(((2 * k, 2 * k + 1), table))
+        denominator *= d
     for j, (_, mark) in enumerate(graph.leaves):
+        # leaf values are 1 or a coupling Poly
         vec = leaf_vector(alg, mark)
         h = 2 * graph.n_edges + j
-        factors.append(((h,), {(i,): val for i, val in vec.items()}))
-    return factors
+        factors.append(((h,), {(i,): 1 if val == 1 else val
+                               for i, val in vec.items()}))
+    return factors, denominator
 
 
 def _target_positions(graph, plan):
@@ -287,7 +339,7 @@ def evaluate_graph(alg, graph, plan=None):
     validate_plan(graph, plan)
     tpos = _target_positions(graph, plan)
     nhe = graph.n_half_edges
-    factors = _build_factors(alg, graph, plan)
+    factors, denominator = _build_factors(alg, graph, plan)
     par = alg.parity
     domain = {h: alg.dim for h in range(nhe)}
     if any(par):
@@ -296,17 +348,16 @@ def evaluate_graph(alg, graph, plan=None):
         # inverted pair contributes -1 when both bits are set.  Bit
         # variables have domain 2, so the elimination tables stay small
         # where dense (index, index) sign factors would blow up.
-        flip = {(0, 0): Fraction(1), (0, 1): Fraction(1),
-                (1, 0): Fraction(1), (1, 1): Fraction(-1)}
+        flip = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
         touched = set()
         for h in range(nhe):
             for h2 in range(h + 1, nhe):
                 if tpos[h] > tpos[h2]:
-                    factors.append(((nhe + h, nhe + h2), dict(flip)))
+                    factors.append(((nhe + h, nhe + h2), flip))
                     touched.update((h, h2))
+        tie = {(i, par[i]): 1 for i in range(alg.dim)}
         for h in sorted(touched):
-            factors.append(((h, nhe + h),
-                            {(i, par[i]): Fraction(1) for i in range(alg.dim)}))
+            factors.append(((h, nhe + h), tie))
             domain[nhe + h] = 2
     remaining = set(domain)
     while remaining:
@@ -332,10 +383,9 @@ def evaluate_graph(alg, graph, plan=None):
             merged = _join(merged, f)
         rest.append(_sum_out(merged, best))
         factors = rest
-    result = Poly.const(1)
+    result = Fraction(1, denominator)
     for vars_, table in factors:
-        val = table.get((), Fraction(0))
-        result = result * val
+        result = result * table.get((), 0)
     return result if isinstance(result, Poly) else Poly.const(result)
 
 

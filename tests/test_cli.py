@@ -184,10 +184,25 @@ class TestAxioms:
 
 class TestBadInput:
     def test_unknown_algebra_name(self, graph_file):
-        rc, _, err = run_cli("eval", "--algebra", "nonesuch",
-                             "--graph", graph_file)
-        assert rc != 0
-        assert "no such algebra" in err
+        rc, out, err = run_cli("eval", "--algebra", "nonesuch",
+                               "--graph", graph_file)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: no such algebra")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--relation", "all", "--degree", "1"],
+        ["potential", "--genus", "0", "--desc", "0", "--max-leaves", "3"],
+    ], ids=["verify", "potential"])
+    def test_unknown_algebra_in_process(self, capsys, args):
+        # main returns 2 with one error line instead of raising
+        rc = cli.main([args[0], "--algebra", "nonesuch", *args[1:]])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: no such algebra")
+        assert len(err.splitlines()) == 1
 
     def test_malformed_graph(self, tmp_path):
         path = tmp_path / "bad.json"

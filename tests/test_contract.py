@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+import cyclichodge.contract as contract
+from cyclichodge.algebra import parse_algebra
 from cyclichodge.contract import (
     EvalPlan, bivector, evaluate_graph, leaf_vector, make_plan, mark_matrix,
     oracle_evaluate, random_plan, validate_plan,
 )
 from cyclichodge.graphs import EDGE_MARKS, MarkedGraph
 from cyclichodge.poly import Poly
+from cyclichodge.potentials import PotentialTable
+from cyclichodge.relations import run_battery
 from conftest import random_connected_graph
 
 
@@ -138,9 +142,11 @@ class TestPlans:
 
 class TestFuzz:
     def test_plan_independence_and_oracle(self, trivial, dual2, exterior2,
-                                          block6, block8):
+                                          block6, block8, scaled2):
+        # scaled2 is the one algebra whose tensors have denominators, so
+        # it checks the integer scaling of the cached tables
         rng = random.Random(90125)
-        for alg in (trivial, dual2, exterior2, block6, block8):
+        for alg in (trivial, dual2, exterior2, block6, block8, scaled2):
             couplings = not any(alg.parity[i] for i in alg.h0)
             for _ in range(10):
                 graph = random_connected_graph(rng, alg.dim,
@@ -161,3 +167,74 @@ class TestFuzz:
                       for _ in range(rng.randint(0, 2))]
             g = MarkedGraph(1, [(0, 0, m) for m in marks], leaves)
             assert evaluate_graph(block8, g) == oracle_evaluate(block8, g)
+
+
+class RecordingTable(PotentialTable):
+    """A potential table remembering which pieces were asked for."""
+
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.keys = set()
+
+    def piece(self, g, n, ell):
+        self.keys.add((g, n, ell))
+        return super().piece(g, n, ell)
+
+
+class TestTensorCache:
+    def test_tables_follow_the_algebra_data(self, dual2, scaled2, block6):
+        # dual2 and scaled2 differ only in their integral, and the renamed
+        # copy is block6's data under another name: a cache keyed on less
+        # than the full data hands one of them the wrong tables
+        renamed = parse_algebra(block6.to_json_obj(), name="block6-copy")
+        rng = random.Random(2718)
+        scaled_edges = 0
+        for _ in range(8):
+            graph = random_connected_graph(rng, 2)
+            # ID and PI0 are the only edge marks that do not vanish on
+            # dual2 and scaled2, whose tables carry the denominator 3
+            plain = MarkedGraph(graph.n_vertices,
+                                [(u, v, rng.choice(("ID", "PI0")))
+                                 for u, v, _ in graph.edges], graph.leaves)
+            for g in (graph, plain):
+                for alg in (dual2, scaled2, renamed, block6):
+                    ref = oracle_evaluate(alg, g)
+                    assert evaluate_graph(alg, g) == ref, (alg.name, repr(g))
+                    scaled_edges += (alg is scaled2 and g.n_edges > 0
+                                     and not ref.is_zero())
+        assert scaled_edges >= 3
+
+    def test_tables_built_once_per_key(self, block6, monkeypatch):
+        builds = {"edge": 0, "vertex": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                builds[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(contract, "mark_matrix",
+                            counted("edge", contract.mark_matrix))
+        monkeypatch.setattr(contract, "_vertex_table",
+                            counted("vertex", contract._vertex_table))
+        contract._edge_tensor.cache_clear()
+        contract._vertex_tensor.cache_clear()
+        table = RecordingTable(block6)
+        run_battery(block6, 2, 2, table=table)
+        graphs = [cls.graph for key in sorted(table.keys)
+                  for cls in table.classes(*key)]
+        edge_keys, arities = set(), set()
+        for graph in graphs:
+            plan = make_plan(graph)
+            edge_keys.update((mark, k in plan.sign_edges)
+                             for k, (_, _, mark) in enumerate(graph.edges))
+            arities.update(len(germs) for germs in plan.germ_order)
+        assert 0 < builds["edge"] <= len(edge_keys)
+        assert 0 < builds["vertex"] <= len(arities)
+        # a second pass, and equal data under another name, build nothing
+        renamed = parse_algebra(block6.to_json_obj(), name="block6-copy")
+        before = dict(builds)
+        for graph in graphs:
+            evaluate_graph(block6, graph)
+        evaluate_graph(renamed, graphs[-1])
+        assert builds == before
