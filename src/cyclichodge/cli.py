@@ -92,6 +92,8 @@ def cmd_verify(args):
 
 
 def cmd_kdv(args):
+    if args.max_genus < 0 or args.degree < 0:
+        raise ValueError("max genus and degree must be nonnegative")
     alg = load_builtin("trivial")
     table = PotentialTable(alg)
     rows = []

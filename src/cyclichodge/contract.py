@@ -17,12 +17,18 @@ the result does not depend on the choice.
 
 `evaluate_graph` eliminates half-edge variables one at a time over
 sparse factor tables, greedily taking the variable whose merged factor
-is cheapest.  Its constant tensors are built once per algebra, on first
-use: one bivector table per (edge mark, twist) and one vertex table per
-arity, cached by the full algebra data (equal algebras share them).
-Each is stored as int entries times 1/d for one positive integer d, so
-the joins multiply ints (and coupling Polys); the value is divided by
-the product of the denominators of the factors used, once, at the end.
+is cheapest, and returns zero as soon as a summed-out factor is empty.
+It carries the Koszul sign as one flip factor over parity bits per
+inverted half-edge pair, built only where both half-edges can carry an
+odd index (some key of their edge or leaf factors puts one there); a
+half-edge that can only be even flips nothing.
+
+Its constant tensors are built once per algebra, on first use: one
+bivector table per (edge mark, twist) and one vertex table per arity,
+cached by the full algebra data (equal algebras share them).  Each is
+stored as int entries times 1/d for one positive integer d, so the joins
+multiply ints (and coupling Polys); the value is divided by the product
+of the denominators of the factors used, once, at the end.
 
 `oracle_evaluate` recomputes the same value by brute enumeration of all
 nonzero edge/leaf terms with signs from an explicit bubble sort.  It
@@ -330,6 +336,34 @@ def _target_positions(graph, plan):
     return {h: p for p, h in enumerate(target)}
 
 
+_FLIP = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
+
+
+def _sign_factors(alg, graph, plan, factors):
+    """The Koszul flip factors of a contraction over parity bits: one
+    (nhe + h, nhe + h2) factor, -1 when both bits are set, per inverted
+    half-edge pair (h, h2) at which an odd index can sit.
+
+    Half-edge h can be odd only if some key of its edge or leaf factor
+    (the entries of `factors` after the vertex factors) puts an odd
+    index at h.  A half-edge that can only be even has bit 0, so every
+    flip factor it would touch is identically 1 and none is built.
+    """
+    par = alg.parity
+    odd = set()
+    for vars_, table in factors[graph.n_vertices:]:
+        for key in table:
+            odd.update(h for h, i in zip(vars_, key) if par[i])
+    if not odd:
+        return []
+    tpos = _target_positions(graph, plan)
+    nhe = graph.n_half_edges
+    odd = sorted(odd)
+    return [((nhe + h, nhe + h2), _FLIP)
+            for a, h in enumerate(odd) for h2 in odd[a + 1:]
+            if tpos[h] > tpos[h2]]
+
+
 def evaluate_graph(alg, graph, plan=None):
     """Value of a connected marked graph as a Poly in the couplings."""
     if not graph.is_connected():
@@ -337,28 +371,22 @@ def evaluate_graph(alg, graph, plan=None):
     if plan is None:
         plan = make_plan(graph)
     validate_plan(graph, plan)
-    tpos = _target_positions(graph, plan)
     nhe = graph.n_half_edges
     factors, denominator = _build_factors(alg, graph, plan)
-    par = alg.parity
     domain = {h: alg.dim for h in range(nhe)}
-    if any(par):
-        # Koszul signs through parity bits: half-edge h gets a bit
-        # variable nhe + h tied to the parity of its index, and every
-        # inverted pair contributes -1 when both bits are set.  Bit
-        # variables have domain 2, so the elimination tables stay small
-        # where dense (index, index) sign factors would blow up.
-        flip = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
-        touched = set()
-        for h in range(nhe):
-            for h2 in range(h + 1, nhe):
-                if tpos[h] > tpos[h2]:
-                    factors.append(((nhe + h, nhe + h2), flip))
-                    touched.update((h, h2))
-        tie = {(i, par[i]): 1 for i in range(alg.dim)}
-        for h in sorted(touched):
-            factors.append(((h, nhe + h), tie))
-            domain[nhe + h] = 2
+    # Koszul signs through parity bits: each flip factor acts on the bit
+    # variables nhe + h of two half-edges that can both carry an odd
+    # index, and each bit in play is tied to the parity of its
+    # half-edge's index.  Bit variables have domain 2, so the
+    # elimination tables stay small where dense (index, index) sign
+    # factors would blow up.
+    signs = _sign_factors(alg, graph, plan, factors)
+    factors += signs
+    if signs:
+        tie = {(i, p): 1 for i, p in enumerate(alg.parity)}
+        for b in sorted({b for vars_, _ in signs for b in vars_}):
+            factors.append(((b - nhe, b), tie))
+            domain[b] = 2
     remaining = set(domain)
     while remaining:
         # greedy: eliminate the variable whose merged factor is cheapest
@@ -381,7 +409,11 @@ def evaluate_graph(alg, graph, plan=None):
         merged = involved[0]
         for f in involved[1:]:
             merged = _join(merged, f)
-        rest.append(_sum_out(merged, best))
+        summed = _sum_out(merged, best)
+        if not summed[1]:
+            # one factor is zero everywhere, so is the contraction
+            return Poly.zero()
+        rest.append(summed)
         factors = rest
     result = Fraction(1, denominator)
     for vars_, table in factors:

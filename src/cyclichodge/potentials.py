@@ -21,7 +21,8 @@ ends with exactly its required germs; contracting a GG edge from vertex
 0 to a plain neighbour undoes it, and every class reduces to its rose
 that way, so the list is complete.  Classes are stored as canonical
 representatives: contraction cost depends on the labeling (one sign
-factor per inverted half-edge pair), so it must not follow generation.
+factor per inverted pair of half-edges that can both be odd), so it must
+not follow generation.
 
 Over an algebra with no 4-blocks every GG bivector vanishes, so unless
 pruning is disabled only a rose with no GG loop that needs no split is kept.

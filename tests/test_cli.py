@@ -161,6 +161,19 @@ class TestKdv:
         assert obj["ok"] is True
         assert all(row["match"] for row in obj["rows"])
 
+    @pytest.mark.parametrize("args", [
+        ["--max-genus", "-1", "--degree", "3"],
+        ["--max-genus", "1", "--degree", "-1"],
+        ["--max-genus", "-1", "--degree", "-1", "--json"],
+    ], ids=["genus", "degree", "both-json"])
+    def test_negative_bounds(self, capsys, args):
+        # an empty table would be a vacuous pass: nothing was compared
+        rc = cli.main(["kdv", *args])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: max genus and degree must be nonnegative\n"
+
 
 class TestAxioms:
     def test_pass(self):

@@ -8,8 +8,9 @@ import pytest
 import cyclichodge.contract as contract
 from cyclichodge.algebra import parse_algebra
 from cyclichodge.contract import (
-    EvalPlan, bivector, evaluate_graph, leaf_vector, make_plan, mark_matrix,
-    oracle_evaluate, random_plan, validate_plan,
+    EvalPlan, _build_factors, _sign_factors, _target_positions, bivector,
+    evaluate_graph, leaf_vector, make_plan, mark_matrix, oracle_evaluate,
+    random_plan, validate_plan,
 )
 from cyclichodge.graphs import EDGE_MARKS, MarkedGraph
 from cyclichodge.poly import Poly
@@ -238,3 +239,95 @@ class TestTensorCache:
             evaluate_graph(block6, graph)
         evaluate_graph(renamed, graphs[-1])
         assert builds == before
+
+
+def inverted_pairs(graph, plan):
+    """Half-edge pairs that plain order and plan order put the other
+    way round."""
+    tpos = _target_positions(graph, plan)
+    n = graph.n_half_edges
+    return sum(1 for h in range(n) for h2 in range(h + 1, n)
+               if tpos[h] > tpos[h2])
+
+
+def sign_factors(alg, graph, plan):
+    factors, _ = _build_factors(alg, graph, plan)
+    return _sign_factors(alg, graph, plan, factors)
+
+
+def term_graph(rng, alg, marks):
+    """A random connected graph with a nonzero term: every vertex gets a
+    germ word with a nonzero integral, and each germ is joined to another
+    by an edge whose bivector holds their index pair (GG where it can
+    be) or left as a B<i> leaf carrying its index."""
+    supports = {m: set(bivector(alg, mark_matrix(alg, m), False))
+                for m in marks}
+    while True:
+        words = []
+        for _ in range(rng.randint(2, 3)):
+            word = None
+            while word is None or alg.integrate_basis_word(word) == 0:
+                word = [rng.randrange(alg.dim)
+                        for _ in range(rng.randint(2, 4))]
+            words.append(word)
+        free = [(v, i) for v, word in enumerate(words) for i in word]
+        rng.shuffle(free)
+        edges, leaves = [], []
+        while free:
+            u, i = free.pop()
+            joins = [(b, m) for b, (v, j) in enumerate(free) for m in marks
+                     if (i, j) in supports[m] and (m != "IDLOOP" or u == v)]
+            if joins and rng.random() < 0.8:
+                b, m = rng.choice([j for j in joins if j[1] == "GG"] or joins)
+                v, _ = free.pop(b)
+                edges.append((u, v, m))
+            else:
+                leaves.append((u, f"B{i + 1}"))
+        graph = MarkedGraph(len(words), edges, leaves)
+        if graph.is_connected():
+            return graph
+
+
+class TestSignPruning:
+    def test_battery_classes_need_no_sign_factors(self, block6):
+        # GG and the coupling leaves are even-only on block6, and IDLOOP
+        # halves never invert, so no inverted pair of the battery's
+        # classes can carry two odd indices
+        table = RecordingTable(block6)
+        run_battery(block6, 2, 2, table=table)
+        graphs = [cls.graph for key in sorted(table.keys)
+                  for cls in table.classes(*key)]
+        inverted = built = 0
+        for graph in graphs:
+            plan = make_plan(graph)
+            inverted += inverted_pairs(graph, plan)
+            built += len(sign_factors(block6, graph, plan))
+        assert (len(graphs), inverted, built) == (325, 4530, 0)
+
+    def test_odd_identity_edge_keeps_its_crossing(self, exterior2):
+        # the edge's second leg (half-edge 1) crosses the B2 leaf
+        # (half-edge 2): one flip factor on their bit variables 5 and 6
+        g = MarkedGraph(2, [(0, 1, "ID")], [(0, "B2"), (1, "B3")])
+        assert [vars_ for vars_, _ in sign_factors(exterior2, g, make_plan(g))] \
+            == [(5, 6)]
+
+    def test_mixed_parity_graphs(self, block6, block8):
+        # GG is even-only on both algebras, ID/IDLOOP edges and odd B<i>
+        # leaves are not: among nonzero values the draws must keep some
+        # flip factors, drop some inverted pairs and contract GG edges
+        rng = random.Random(4)
+        kept = dropped = with_gg = 0
+        for alg in (block6, block8):
+            for _ in range(12):
+                graph = term_graph(rng, alg, ("GG", "ID", "IDLOOP"))
+                ref = oracle_evaluate(alg, graph)
+                nonzero = not ref.is_zero()
+                with_gg += nonzero and any(mark == "GG"
+                                           for _, _, mark in graph.edges)
+                for plan in (make_plan(graph), random_plan(graph, rng)):
+                    assert evaluate_graph(alg, graph, plan) == ref, \
+                        (alg.name, repr(graph), plan)
+                    n = len(sign_factors(alg, graph, plan))
+                    kept += nonzero and n > 0
+                    dropped += nonzero and inverted_pairs(graph, plan) > n
+        assert kept and dropped and with_gg, (kept, dropped, with_gg)
