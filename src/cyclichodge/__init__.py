@@ -11,7 +11,7 @@ from .algebra import (AlgebraError, AxiomReport, CHAlgebra, DegeneracyError,
 from .builtin import BUILTIN_NAMES, load_builtin
 from .contract import (EvalPlan, evaluate_graph, make_plan, oracle_evaluate,
                        random_plan)
-from .graded import Operator, supertrace
+from .graded import supertrace
 from .graphs import (MarkedGraph, is_valid_descendant_graph,
                      is_valid_smooth_graph, load_graph)
 from .poly import Poly

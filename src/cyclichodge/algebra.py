@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .graded import (EVEN, ODD, Operator, SingularMatrixError, mat_inverse,
-                     mat_mul, supertrace, vec_add, vec_scale)
+from .graded import (EVEN, ODD, SingularMatrixError, identity_matrix,
+                     mat_add, mat_apply, mat_inverse, mat_mul, mat_sub,
+                     supertrace, vec_add, vec_scale)
 from .poly import format_rational, parse_rational
 
 
@@ -42,6 +42,10 @@ class CHAlgebra:
     q[i][j] (resp. gminus[i][j]) is the coefficient of e_i in the image
     of e_j; integral[i] is the integral of e_i.  h0 lists the basis
     indices spanning H_0 and blocks the 4-tuples (e, Qe, G-e, QG-e).
+
+    Data derived from the algebra (its operators, the contraction
+    tensors) is kept with the object that first asks for it, through
+    `memo`; an equal algebra built separately derives its own.
     """
 
     dim: int
@@ -54,16 +58,17 @@ class CHAlgebra:
     h0: tuple
     blocks: tuple
     name: str = field(default="", compare=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
-    def __hash__(self):
-        # The data is frozen, so hash its nested Fractions once: per-algebra
-        # caches (derive_ops, the contraction tensors) look it up per call.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.dim, self.parity, self.unit, self.product, self.q,
-                      self.gminus, self.integral, self.h0, self.blocks))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def memo(self, key, build):
+        """build(), called on the first request for key and kept with
+        this object.  Every caller gets the same value, so nothing may
+        mutate it; a build that raises keeps nothing."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- basic operations ------------------------------------------------
 
@@ -131,14 +136,6 @@ class CHAlgebra:
 
     def basis_vector(self, i):
         return {i: Fraction(1)}
-
-    @property
-    def q_op(self):
-        return Operator(self.q, ODD)
-
-    @property
-    def gminus_op(self):
-        return Operator(self.gminus, ODD)
 
     # -- serialization -----------------------------------------------------
 
@@ -296,6 +293,7 @@ def load_algebra(path):
 class DerivedOps:
     """Operators and pairings determined by the algebra data.
 
+    gplus, pi4 and pi0 are matrices in the layout of `CHAlgebra.q`.
     gplus is defined blockwise (zero on H_0; on each block e, Qe, G-e,
     QG-e it sends Qe -> e and QG-e -> G-e); pi4 = Q gplus + gplus Q and
     pi0 = Id - pi4.  The inverse pairings are computed on demand and
@@ -303,19 +301,17 @@ class DerivedOps:
     """
 
     def __init__(self, alg):
-        self.alg = alg
+        self.parity = alg.parity
         dim = alg.dim
         gp = [[Fraction(0)] * dim for _ in range(dim)]
         for (a, b, c, d) in alg.blocks:
             gp[a][b] = Fraction(1)
             gp[c][d] = Fraction(1)
-        self.gplus = Operator(gp, ODD)
-        self.q = alg.q_op
-        self.gminus = alg.gminus_op
-        self.pi4 = self.q.compose(self.gplus).plus(self.gplus.compose(self.q))
-        ident = Operator.identity(dim)
-        self.pi0 = ident.minus(self.pi4)
-        assert self.pi0.plus(self.pi4).mat == ident.mat
+        self.gplus = tuple(tuple(row) for row in gp)
+        self.pi4 = mat_add(mat_mul(alg.q, self.gplus), mat_mul(self.gplus, alg.q))
+        ident = identity_matrix(dim)
+        self.pi0 = mat_sub(ident, self.pi4)
+        assert mat_add(self.pi0, self.pi4) == ident
         self.gram = alg.gram()
         self.eta = tuple(tuple(self.gram[a][b] for b in alg.h0) for a in alg.h0)
         self._gram_inv = None
@@ -341,12 +337,12 @@ class DerivedOps:
         return self._eta_inv
 
     def supertrace_pi0(self):
-        return supertrace(self.pi0.mat, self.alg.parity)
+        return supertrace(self.pi0, self.parity)
 
 
-@lru_cache(maxsize=64)
 def derive_ops(alg):
-    return DerivedOps(alg)
+    """The algebra's DerivedOps, built once per algebra object."""
+    return alg.memo("ops", lambda: DerivedOps(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -505,37 +501,36 @@ def check_axioms(alg):
         return gen
 
     def block_structure():
-        qop, gop = alg.q_op, alg.gminus_op
         for (a, b, c, d) in alg.blocks:
-            if qop.apply(alg.basis_vector(a)) != alg.basis_vector(b):
+            if mat_apply(alg.q, alg.basis_vector(a)) != alg.basis_vector(b):
                 yield (a + 1, b + 1), "Q e != (Q e) generator of the block"
                 return
-            if gop.apply(alg.basis_vector(a)) != alg.basis_vector(c):
+            if mat_apply(alg.gminus, alg.basis_vector(a)) != alg.basis_vector(c):
                 yield (a + 1, c + 1), "G_- e != (G_- e) generator of the block"
                 return
-            if qop.apply(alg.basis_vector(c)) != alg.basis_vector(d):
+            if mat_apply(alg.q, alg.basis_vector(c)) != alg.basis_vector(d):
                 yield (c + 1, d + 1), "Q G_- e != (Q G_- e) generator of the block"
                 return
 
     def leibniz():
-        qop = alg.q_op
+        def qv(vec):
+            return mat_apply(alg.q, vec)
+
         for i in range(dim):
             for j in range(dim):
-                lhs = qop.apply(alg.basis_product(i, j))
+                lhs = qv(alg.basis_product(i, j))
                 rhs = vec_add(
-                    alg.multiply(qop.apply(alg.basis_vector(i)), alg.basis_vector(j)),
+                    alg.multiply(qv(alg.basis_vector(i)), alg.basis_vector(j)),
                     vec_scale(-1 if par[i] else 1,
                               alg.multiply(alg.basis_vector(i),
-                                           qop.apply(alg.basis_vector(j)))))
+                                           qv(alg.basis_vector(j)))))
                 if lhs != rhs:
                     yield (i + 1, j + 1), "Q(ab) != Q(a)b + (-1)^pa a Q(b)"
                     return
 
     def seven_term():
-        gop = alg.gminus_op
-
         def gv(vec):
-            return gop.apply(vec)
+            return mat_apply(alg.gminus, vec)
 
         for i in range(dim):
             a = alg.basis_vector(i)
@@ -571,24 +566,24 @@ def check_axioms(alg):
         for i in range(dim):
             la = alg.left_mult_matrix(alg.basis_vector(i))
             lhs = supertrace(mat_mul(gm, la), par)
-            lga = alg.left_mult_matrix(alg.gminus_op.apply(alg.basis_vector(i)))
+            lga = alg.left_mult_matrix(mat_apply(gm, alg.basis_vector(i)))
             rhs = Fraction(1, 12) * supertrace(lga, par)
             if lhs != rhs:
                 yield (i + 1,), (f"str(G_- a*) = {format_rational(lhs)} but "
                                  f"(1/12) str(G_-(a)*) = {format_rational(rhs)}")
                 return
 
-    def op_adjoint(op, opname, sign_flip):
+    def op_adjoint(mat, opname, sign_flip):
         # integral(op(a) b) = s(a) integral(a op(b)), s(a) = (-1)^(pa+flip)
         def gen():
             for i in range(dim):
-                oa = op.apply(alg.basis_vector(i))
+                oa = mat_apply(mat, alg.basis_vector(i))
                 sign = (-1) ** ((par[i] + sign_flip) % 2)
                 for j in range(dim):
                     lhs = alg.integrate(alg.multiply_basis_right(oa, j))
                     rhs = sign * alg.integrate(
                         alg.multiply(alg.basis_vector(i),
-                                     op.apply(alg.basis_vector(j))))
+                                     mat_apply(mat, alg.basis_vector(j))))
                     if lhs != rhs:
                         yield (i + 1, j + 1), f"{opname} is not integral-adjoint"
                         return
@@ -612,18 +607,18 @@ def check_axioms(alg):
     add("q-leibniz", leibniz())
     add("gminus-seven-term", seven_term())
     add("one-twelfth", one_twelfth())
-    add("q-integral-adjoint", op_adjoint(alg.q_op, "Q", 1)())
-    add("gminus-integral-adjoint", op_adjoint(alg.gminus_op, "G_-", 0)())
+    add("q-integral-adjoint", op_adjoint(alg.q, "Q", 1)())
+    add("gminus-integral-adjoint", op_adjoint(alg.gminus, "G_-", 0)())
 
     der = derive_ops(alg)
-    add("gplus-squared", op_square_zero(der.gplus.mat, "G_+")())
+    add("gplus-squared", op_square_zero(der.gplus, "G_+")())
     add("gplus-gminus-anticommutator",
-        anticommute(der.gplus.mat, alg.gminus, "G_-G_+ + G_+G_-")())
+        anticommute(der.gplus, alg.gminus, "G_-G_+ + G_+G_-")())
     add("gplus-integral-adjoint", op_adjoint(der.gplus, "G_+", 0)())
 
     def pi4_idempotent():
-        sq = mat_mul(der.pi4.mat, der.pi4.mat)
-        if sq != der.pi4.mat:
+        sq = mat_mul(der.pi4, der.pi4)
+        if sq != der.pi4:
             yield (), "Pi_4 is not idempotent"
 
     def hodge_orthogonal():

@@ -23,17 +23,18 @@ inverted half-edge pair, built only where both half-edges can carry an
 odd index (some key of their edge or leaf factors puts one there); a
 half-edge that can only be even flips nothing.
 
-Its constant tensors are built once per algebra, on first use: one
-bivector table per (edge mark, twist) and one vertex table per arity,
-cached by the full algebra data (equal algebras share them).  Each is
-stored as int entries times 1/d for one positive integer d, so the joins
-multiply ints (and coupling Polys); the value is divided by the product
-of the denominators of the factors used, once, at the end.
+Its constant tensors are built on first use and kept with the algebra
+object (`CHAlgebra.memo`): one bivector table per (edge mark, twist),
+one vertex table per arity and one leaf table per leaf mark.  Edge and
+vertex tables are stored as int entries times 1/d for one positive
+integer d, so the joins multiply ints (and coupling Polys); the value is
+divided by the product of the denominators of the factors used, once, at
+the end.
 
 `oracle_evaluate` recomputes the same value by brute enumeration of all
 nonzero edge/leaf terms with signs from an explicit bubble sort.  It
 builds its own Fraction bivectors from `bivector` and `mark_matrix` on
-every call and uses neither the cache nor the integer scaling, so
+every call and uses neither the kept tables nor the integer scaling, so
 agreement checks those as well as the elimination bookkeeping.
 """
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import itemgetter
@@ -88,7 +88,7 @@ def make_plan(graph):
     dfs(0)
     return EvalPlan(
         vertex_order=tuple(order),
-        germ_order=tuple(graph.vertex_germs(v) for v in range(graph.n_vertices)),
+        germ_order=graph.germs(),
         sign_edges=frozenset(k for k in range(graph.n_edges) if k not in tree),
     )
 
@@ -98,8 +98,8 @@ def validate_plan(graph, plan):
         raise ValueError("plan vertex order must be a permutation of the vertices")
     if len(plan.germ_order) != graph.n_vertices:
         raise ValueError("plan needs a germ order for every vertex")
-    for v in range(graph.n_vertices):
-        if tuple(sorted(plan.germ_order[v])) != graph.vertex_germs(v):
+    for v, germs in enumerate(graph.germs()):
+        if tuple(sorted(plan.germ_order[v])) != germs:
             raise ValueError(f"germ order of vertex {v + 1} does not match the graph")
     if not all(0 <= k < graph.n_edges for k in plan.sign_edges):
         raise ValueError("sign edge index out of range")
@@ -139,8 +139,8 @@ def random_plan(graph, rng):
     vertex_order = list(range(graph.n_vertices))
     rng.shuffle(vertex_order)
     germ_order = []
-    for v in range(graph.n_vertices):
-        germs = list(graph.vertex_germs(v))
+    for germs in graph.germs():
+        germs = list(germs)
         rng.shuffle(germs)
         germ_order.append(tuple(germs))
     edge_ids = list(range(graph.n_edges))
@@ -160,15 +160,15 @@ def mark_matrix(alg, mark):
     if mark in ("ID", "IDLOOP"):
         return identity_matrix(alg.dim)
     if mark == "GG":
-        return mat_mul(alg.gminus, der.gplus.mat)
+        return mat_mul(alg.gminus, der.gplus)
     if mark == "PI0":
-        return der.pi0.mat
+        return der.pi0
     if mark == "QGP":
-        return mat_mul(alg.q, der.gplus.mat)
+        return mat_mul(alg.q, der.gplus)
     if mark == "GPQ":
-        return mat_mul(der.gplus.mat, alg.q)
+        return mat_mul(der.gplus, alg.q)
     if mark == "GP":
-        return der.gplus.mat
+        return der.gplus
     if mark == "GM":
         return alg.gminus
     raise ValueError(f"unknown edge mark {mark!r}")
@@ -241,17 +241,21 @@ def _integer_table(table):
     return {key: int(val * d) for key, val in table.items()}, d
 
 
-# Each algebra's tensors are built on first use and shared by every
-# evaluation, so nothing may mutate them.  The bounds hold 64 algebras'
-# worth: 8 edge marks times 2 twists, or 16 vertex arities.
-@lru_cache(maxsize=64 * 16)
 def _edge_tensor(alg, mark, twist):
-    return _integer_table(bivector(alg, mark_matrix(alg, mark), twist))
+    return alg.memo(("edge", mark, twist), lambda: _integer_table(
+        bivector(alg, mark_matrix(alg, mark), twist)))
 
 
-@lru_cache(maxsize=64 * 16)
 def _vertex_tensor(alg, arity):
-    return _integer_table(_vertex_table(alg, arity))
+    return alg.memo(("vertex", arity),
+                    lambda: _integer_table(_vertex_table(alg, arity)))
+
+
+def _leaf_tensor(alg, mark):
+    # entries are 1 or a coupling Poly; a bad mark raises on every call
+    return alg.memo(("leaf", mark), lambda: {
+        (i,): 1 if val == 1 else val
+        for i, val in leaf_vector(alg, mark).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +327,7 @@ def _build_factors(alg, graph, plan):
         factors.append(((2 * k, 2 * k + 1), table))
         denominator *= d
     for j, (_, mark) in enumerate(graph.leaves):
-        # leaf values are 1 or a coupling Poly
-        vec = leaf_vector(alg, mark)
-        h = 2 * graph.n_edges + j
-        factors.append(((h,), {(i,): 1 if val == 1 else val
-                               for i, val in vec.items()}))
+        factors.append(((2 * graph.n_edges + j,), _leaf_tensor(alg, mark)))
     return factors, denominator
 
 

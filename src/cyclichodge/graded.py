@@ -20,10 +20,6 @@ class SingularMatrixError(ValueError):
 # ---------------------------------------------------------------------------
 # exact dense matrices (tuples of tuples of Fraction)
 
-def as_matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity_matrix(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
@@ -47,6 +43,20 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_apply(mat, coords):
+    """mat applied to a sparse coordinate dict {index: Fraction};
+    mat[i][j] is the coefficient of e_i in the image of e_j."""
+    out = {}
+    for j, c in coords.items():
+        if c == 0:
+            continue
+        for i, row in enumerate(mat):
+            m = row[j]
+            if m != 0:
+                out[i] = out.get(i, Fraction(0)) + m * c
+    return {i: c for i, c in out.items() if c != 0}
 
 
 def transpose(a):
@@ -80,67 +90,6 @@ def supertrace(mat, parities):
     for i, p in enumerate(parities):
         total += -mat[i][i] if p else mat[i][i]
     return total
-
-
-class Operator:
-    """Linear map with a declared parity, stored as a dense exact matrix.
-
-    ``mat[i][j]`` is the coefficient of basis vector i in the image of
-    basis vector j, so composition is plain matrix product.
-    """
-
-    __slots__ = ("mat", "parity")
-
-    def __init__(self, mat, parity):
-        if parity not in (EVEN, ODD):
-            raise ValueError("parity must be 0 or 1")
-        self.mat = as_matrix(mat)
-        self.parity = parity
-
-    @property
-    def dim(self):
-        return len(self.mat)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(identity_matrix(dim), EVEN)
-
-    def compose(self, other):
-        """self after other."""
-        return Operator(mat_mul(self.mat, other.mat),
-                        (self.parity + other.parity) % 2)
-
-    def plus(self, other):
-        if self.parity != other.parity:
-            raise ValueError("cannot add operators of different parity")
-        return Operator(mat_add(self.mat, other.mat), self.parity)
-
-    def minus(self, other):
-        if self.parity != other.parity:
-            raise ValueError("cannot subtract operators of different parity")
-        return Operator(mat_sub(self.mat, other.mat), self.parity)
-
-    def apply(self, coords):
-        """Apply to a sparse coordinate dict {index: Fraction}."""
-        out = {}
-        for j, c in coords.items():
-            if c == 0:
-                continue
-            for i in range(self.dim):
-                m = self.mat[i][j]
-                if m != 0:
-                    out[i] = out.get(i, Fraction(0)) + m * c
-        return {i: c for i, c in out.items() if c != 0}
-
-    def __eq__(self, other):
-        return (isinstance(other, Operator)
-                and self.parity == other.parity and self.mat == other.mat)
-
-    def __hash__(self):
-        return hash((self.parity, self.mat))
-
-    def __repr__(self):
-        return f"Operator(parity={self.parity}, dim={self.dim})"
 
 
 def vec_add(u, v):

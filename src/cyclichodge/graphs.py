@@ -84,18 +84,19 @@ class MarkedGraph:
     def n_half_edges(self):
         return 2 * self.n_edges + self.n_leaves
 
-    def he_vertex(self, h):
-        if h < 2 * self.n_edges:
-            u, v, _ = self.edges[h // 2]
-            return u if h % 2 == 0 else v
-        return self.leaves[h - 2 * self.n_edges][0]
-
-    def vertex_germs(self, v):
-        """Half-edges at v, ascending (both halves of a loop included)."""
-        return tuple(h for h in range(self.n_half_edges) if self.he_vertex(h) == v)
+    def germs(self):
+        """Per vertex, the half-edges at it, ascending (both halves of a
+        loop included)."""
+        at = [[] for _ in range(self.n_vertices)]
+        for k, (u, v, _) in enumerate(self.edges):
+            at[u].append(2 * k)
+            at[v].append(2 * k + 1)
+        for j, (v, _) in enumerate(self.leaves):
+            at[v].append(2 * self.n_edges + j)
+        return tuple(tuple(hs) for hs in at)
 
     def degree(self, v):
-        return len(self.vertex_germs(v))
+        return len(self.germs()[v])
 
     def leaf_marks_at(self, v):
         return tuple(sorted(mark for (w, mark) in self.leaves if w == v))
@@ -249,9 +250,6 @@ class MarkedGraph:
                 "edges": [[u + 1, v + 1, m] for (u, v, m) in self.edges],
                 "leaves": [[v + 1, m] for (v, m) in self.leaves]}
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj):
         if not isinstance(obj, dict) or "vertices" not in obj:
@@ -274,10 +272,6 @@ class MarkedGraph:
                 raise ValueError(f"bad leaf entry {ent!r}")
             leaves.append((ent[0] - 1, ent[1]))
         return cls(nv, edges, leaves)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_obj(json.loads(s))
 
     def __repr__(self):
         return (f"MarkedGraph({self.n_vertices}, edges={list(self.edges)}, "

@@ -9,7 +9,6 @@ repetition) and a polynomial is a dict monomial -> Fraction.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -156,16 +155,6 @@ class Poly:
     def constant_term(self):
         return self.terms.get((), Fraction(0))
 
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
-
-    def arrow_degree(self):
-        """Largest number of level >= 1 factors in any monomial."""
-        return max((sum(1 for n, _ in m if n >= 1) for m in self.terms), default=0)
-
-    def max_level(self):
-        return max((n for m in self.terms for n, _ in m), default=0)
-
     def truncate(self, total_degree=None, arrow_degree=None, max_level=None):
         """Drop monomials exceeding the given bounds (None = no bound)."""
         out = {}
@@ -240,9 +229,6 @@ class Poly:
                           "coeff": format_rational(self.terms[mono])})
         return {"terms": terms}
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj):
         if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
@@ -259,10 +245,6 @@ class Poly:
             mono = _normalize_mono(tuple(tuple(var) for var in t["vars"]))
             out[mono] = out.get(mono, Fraction(0)) + parse_rational(t["coeff"])
         return cls(out)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_obj(json.loads(s))
 
     def __repr__(self):
         return f"Poly({self.to_text()})"

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import cyclichodge.contract as contract
-from cyclichodge.algebra import parse_algebra
+from cyclichodge.algebra import CHAlgebra, parse_algebra
+from cyclichodge.builtin import load_builtin
 from cyclichodge.contract import (
     EvalPlan, _build_factors, _sign_factors, _target_positions, bivector,
     evaluate_graph, leaf_vector, make_plan, mark_matrix, oracle_evaluate,
@@ -94,6 +95,12 @@ class TestBivector:
         with pytest.raises(ValueError):
             leaf_vector(block8, "E0")
         assert leaf_vector(block8, "UNIT") == {0: Fraction(1)}
+        # the engine keeps no leaf table for a failed build
+        for alg, mark in ((dual2, "B9"), (block8, "E0")):
+            g = MarkedGraph(1, [], [(0, mark)])
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    evaluate_graph(alg, g)
 
 
 class TestPlans:
@@ -206,7 +213,7 @@ class TestTensorCache:
         assert scaled_edges >= 3
 
     def test_tables_built_once_per_key(self, block6, monkeypatch):
-        builds = {"edge": 0, "vertex": 0}
+        builds = {"edge": 0, "vertex": 0, "leaf": 0}
 
         def counted(kind, fn):
             def wrapper(*args):
@@ -218,27 +225,50 @@ class TestTensorCache:
                             counted("edge", contract.mark_matrix))
         monkeypatch.setattr(contract, "_vertex_table",
                             counted("vertex", contract._vertex_table))
-        contract._edge_tensor.cache_clear()
-        contract._vertex_tensor.cache_clear()
-        table = RecordingTable(block6)
-        run_battery(block6, 2, 2, table=table)
+        monkeypatch.setattr(contract, "leaf_vector",
+                            counted("leaf", contract.leaf_vector))
+        alg = parse_algebra(block6.to_json_obj(), name="block6")
+        table = RecordingTable(alg)
+        run_battery(alg, 2, 2, table=table)
         graphs = [cls.graph for key in sorted(table.keys)
                   for cls in table.classes(*key)]
-        edge_keys, arities = set(), set()
+        keys = {"edge": set(), "vertex": set(), "leaf": set()}
         for graph in graphs:
             plan = make_plan(graph)
-            edge_keys.update((mark, k in plan.sign_edges)
-                             for k, (_, _, mark) in enumerate(graph.edges))
-            arities.update(len(germs) for germs in plan.germ_order)
-        assert 0 < builds["edge"] <= len(edge_keys)
-        assert 0 < builds["vertex"] <= len(arities)
-        # a second pass, and equal data under another name, build nothing
-        renamed = parse_algebra(block6.to_json_obj(), name="block6-copy")
+            keys["edge"].update((mark, k in plan.sign_edges)
+                                for k, (_, _, mark) in enumerate(graph.edges))
+            keys["vertex"].update(len(germs) for germs in plan.germ_order)
+            keys["leaf"].update(mark for _, mark in graph.leaves)
+        for kind in builds:
+            assert 0 < builds[kind] <= len(keys[kind]), kind
+        # a second pass builds nothing
         before = dict(builds)
         for graph in graphs:
-            evaluate_graph(block6, graph)
-        evaluate_graph(renamed, graphs[-1])
+            evaluate_graph(alg, graph)
         assert builds == before
+        # equal data under another name builds its own tables, once each
+        renamed = parse_algebra(block6.to_json_obj(), name="block6-copy")
+        for _ in range(2):
+            for graph in graphs:
+                evaluate_graph(renamed, graph)
+        for kind in builds:
+            assert builds[kind] - before[kind] <= len(keys[kind]), kind
+
+    def test_fresh_algebra_compares_no_algebras(self, block6, monkeypatch):
+        # kept tables belong to the object, so a second algebra with
+        # equal data never deep-compares its data with the first
+        run_battery(block6, 2, 2)
+        calls = []
+        eq = CHAlgebra.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(CHAlgebra, "__eq__", counted)
+        results = run_battery(load_builtin("block6"), 2, 2)
+        assert all(r.ok for r in results)
+        assert len(calls) == 0
 
 
 def inverted_pairs(graph, plan):

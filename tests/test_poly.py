@@ -1,5 +1,6 @@
 """Polynomial ring over Q in the doubled couplings T[n,i]."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -100,18 +101,13 @@ class TestSlicing:
                   + T(2, 1) * T(1, 1)
                   + T(3, 1))
 
-    def test_degree_measures(self):
-        assert self.p.degree() == 2
-        assert self.p.arrow_degree() == 2
-        assert self.p.max_level() == 3
-
     def test_truncate_total_degree(self):
         t = self.p.truncate(total_degree=1)
         assert t == Poly.const(7) + T(0, 1) + T(3, 1)
 
     def test_truncate_arrow_degree(self):
         t = self.p.truncate(arrow_degree=1)
-        assert t.arrow_degree() == 1
+        assert t == self.p - T(2, 1) * T(1, 1)
         assert t.coefficient([(2, 1), (1, 1)]) == 0
         assert t.coefficient([(1, 1), (0, 1)]) == 1
 
@@ -149,16 +145,16 @@ class TestSerialization:
     def test_json_round_trip(self):
         p = (T(0, 1) * T(0, 1) * Fraction(-3, 7)
              + T(4, 2) * T(0, 3) + Poly.const(2))
-        q = Poly.from_json(p.to_json())
+        q = Poly.from_json_obj(json.loads(json.dumps(p.to_json_obj())))
         assert p == q
 
     def test_json_rejects_floats(self):
         with pytest.raises(ValueError):
-            Poly.from_json('{"terms": [{"vars": [[0, 1]], "coeff": "0.5"}]}')
+            Poly.from_json_obj({"terms": [{"vars": [[0, 1]], "coeff": "0.5"}]})
 
     def test_json_shape_errors(self):
         with pytest.raises(ValueError):
-            Poly.from_json('[1, 2]')
+            Poly.from_json_obj([1, 2])
 
     @pytest.mark.parametrize("obj", [
         {"terms": 5},
