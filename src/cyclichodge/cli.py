@@ -49,7 +49,7 @@ def cmd_eval(args):
 
 def cmd_potential(args):
     alg = _load_alg(args.algebra)
-    table = PotentialTable(alg, prune_empty_h4=not args.no_prune)
+    table = PotentialTable(alg, prune=not args.no_prune)
     value = table.potential(args.genus, args.desc, args.max_leaves)
     class_rows = []
     if args.classes:
@@ -156,7 +156,8 @@ def build_parser():
     p.add_argument("--classes", action="store_true",
                    help="also list the contributing graph classes")
     p.add_argument("--no-prune", action="store_true",
-                   help="keep GG-edge classes even when every 4-block is absent")
+                   help="list every class, also those with a vertex that "
+                        "is zero over the algebra")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_potential)
 

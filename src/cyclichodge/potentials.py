@@ -24,8 +24,18 @@ representatives: contraction cost depends on the labeling (one sign
 factor per inverted pair of half-edges that can both be odd), so it must
 not follow generation.
 
-Over an algebra with no 4-blocks every GG bivector vanishes, so unless
-pruning is disabled only a rose with no GG loop that needs no split is kept.
+Given an algebra, a split whose new vertex w is zero there is dropped
+before dedup.  Later splits move germs off vertex 0 only, so w keeps its
+three germs for good, and each germ's mark fixes the basis indices it can
+carry: a GG half-edge those on either leg of the GG edge table, an E<k>
+leaf those of H_0.  If no entry of the arity-3 vertex table fits them,
+every term of every graph grown from the child is zero.  The finished
+vertex 0 takes the same test against the table of its arity.  The rule
+keeps every nonzero class: such a class has no zero vertex, and its
+contraction path back to the rose passes only through graphs whose other
+vertices are vertices of the class.  Over an algebra with no 4-blocks the
+GG table is empty, so only a rose with no GG loop that needs no split is
+kept.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ from itertools import combinations
 from math import factorial
 
 from .algebra import AlgebraError, check_axioms
-from .contract import evaluate_graph
-from .graphs import (MarkedGraph, is_valid_descendant_graph,
+from .contract import (_edge_tensor, _leaf_tensor, _vertex_tensor,
+                       evaluate_graph)
+from .graphs import (EDGE_MARKS, MarkedGraph, is_valid_descendant_graph,
                      is_valid_smooth_graph)
 from .poly import Poly
 
@@ -56,20 +67,57 @@ class WeightedGraphClass:
 # class generation: split a one-vertex rose
 
 
-def _split(graph):
+def _support(alg, mark):
+    """The basis indices a germ with this edge or leaf mark can carry in a
+    nonzero term."""
+    if mark in EDGE_MARKS:
+        table, _ = _edge_tensor(alg, mark, False)
+        return {i for key in table for i in key}
+    return {i for (i,) in _leaf_tensor(alg, mark)}
+
+
+def _live(alg, marks):
+    """Whether some entry of the vertex table fits a vertex whose germs
+    carry these marks (the table is graded-symmetric, so one order of the
+    germs serves)."""
+    marks = tuple(sorted(marks))
+
+    def build():
+        supports = [_support(alg, mark) for mark in marks]
+        # an empty support decides it without building the vertex table
+        if not all(supports):
+            return False
+        table, _ = _vertex_tensor(alg, len(marks))
+        return any(all(i in s for i, s in zip(key, supports)) for key in table)
+
+    return alg.memo(("live", marks), build)
+
+
+def _marks_at(graph, v):
+    """The marks of the germs at vertex v (a loop's twice)."""
+    return ([mark for (a, b, mark) in graph.edges if a == v]
+            + [mark for (a, b, mark) in graph.edges if b == v]
+            + [mark for (u, mark) in graph.leaves if u == v])
+
+
+def _split(graph, alg):
     """Every graph made by moving an unordered pair of GG half-edges or E0
-    leaves off vertex 0 onto a new vertex w joined to vertex 0 by GG."""
+    leaves off vertex 0 onto a new vertex w joined to vertex 0 by GG;
+    given an algebra, only those whose w can be nonzero over it."""
     w = graph.n_vertices
-    # a germ is (table, entry, slot): table 0 holds edges, table 1 leaves
-    germs = [(0, e, end) for e, edge in enumerate(graph.edges)
+    # a germ is (table, entry, slot, mark): table 0 holds edges, table 1
+    # leaves
+    germs = [(0, e, end, "GG") for e, edge in enumerate(graph.edges)
              if edge[2] == "GG" for end in (0, 1) if edge[end] == 0]
     # the E0 leaves at vertex 0 are interchangeable: two cover every choice
-    germs += [(1, j, 0) for j, leaf in enumerate(graph.leaves)
+    germs += [(1, j, 0, "E0") for j, leaf in enumerate(graph.leaves)
               if leaf == (0, "E0")][:2]
     for pair in combinations(germs, 2):
+        if alg is not None and not _live(alg, ["GG", pair[0][3], pair[1][3]]):
+            continue
         edges, leaves = tables = ([list(edge) for edge in graph.edges],
                                   [list(leaf) for leaf in graph.leaves])
-        for table, entry, slot in pair:
+        for table, entry, slot, _ in pair:
             tables[table][entry][slot] = w
         yield MarkedGraph(w + 1, edges + [(0, w, "GG")], leaves)
 
@@ -79,16 +127,22 @@ def _dedup(graphs):
     return {graph.canonical_form(): graph for graph in graphs}
 
 
-def _classes(roses, valid):
+def _classes(roses, valid, alg):
     """The weighted classes grown from each rose by its number of splits,
-    as canonical representatives in canonical-form order."""
+    as canonical representatives in canonical-form order; given an
+    algebra, only those with no vertex that is zero over it."""
     found = {}
     for rose, splits in roses:
-        layer = _dedup([rose])
-        for _ in range(splits):
-            layer = _dedup(child for graph in layer.values()
-                           for child in _split(graph))
-        found.update(layer)
+        layer = [rose]
+        for step in range(splits):
+            # a lone rose needs no canonical form
+            parents = _dedup(layer).values() if step else layer
+            layer = (child for graph in parents
+                     for child in _split(graph, alg))
+        if alg is not None:
+            layer = (graph for graph in layer
+                     if _live(alg, _marks_at(graph, 0)))
+        found.update(_dedup(layer))
     classes = []
     for key in sorted(found):
         graph = found[key].canonical_graph()
@@ -101,21 +155,23 @@ def _classes(roses, valid):
     return classes
 
 
-def enumerate_sm(g, L, _no_gg=False):
-    """Classes of the genus-g primary sum with exactly L leaves."""
+def enumerate_sm(g, L, alg=None):
+    """Classes of the genus-g primary sum with exactly L leaves; given an
+    algebra, only those the support rule keeps."""
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     V = 2 * g - 2 + L
-    if V < 1 or (_no_gg and (g > 0 or V > 1)):
+    if V < 1:
         return []
     rose = MarkedGraph(1, [(0, 0, "GG")] * g, [(0, "E0")] * L)
     return _classes([(rose, V - 1)],
-                    lambda graph: is_valid_smooth_graph(graph, g))
+                    lambda graph: is_valid_smooth_graph(graph, g), alg)
 
 
-def enumerate_desc(g, n, L, _no_gg=False):
+def enumerate_desc(g, n, L, alg=None):
     """Classes of the genus-g level-n one-point sum with exactly L E0
-    leaves (n >= 1)."""
+    leaves (n >= 1); given an algebra, only those the support rule
+    keeps."""
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     if n < 1:
@@ -124,14 +180,14 @@ def enumerate_desc(g, n, L, _no_gg=False):
     for handles in range(g + 1):
         mprime = n + 3 - 3 * handles
         V = 2 * g - 2 * handles - mprime + L + 2
-        if mprime < 1 or V < 1 or (_no_gg and (g > handles or V > 1)):
+        if mprime < 1 or V < 1:
             continue
         rose = MarkedGraph(1, [(0, 0, "GG")] * (g - handles)
                            + [(0, 0, "IDLOOP")] * handles,
                            [(0, f"E{n}")] + [(0, "E0")] * L)
         roses.append((rose, V - 1))
     return _classes(roses,
-                    lambda graph: is_valid_descendant_graph(graph, g, n))
+                    lambda graph: is_valid_descendant_graph(graph, g, n), alg)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +197,11 @@ def enumerate_desc(g, n, L, _no_gg=False):
 class PotentialTable:
     """Caches potential pieces (exact leaf count) for one algebra.
 
-    Requires an algebra passing every axiom with purely even H_0.
+    Requires an algebra passing every axiom with purely even H_0.  With
+    prune=False the class lists are the full ones, support rule off.
     """
 
-    def __init__(self, alg, prune_empty_h4=True):
+    def __init__(self, alg, prune=True):
         report = check_axioms(alg)
         if not report.ok:
             names = ", ".join(c.name for c in report.failures)
@@ -154,17 +211,18 @@ class PotentialTable:
             raise AlgebraError("potentials need a purely even H_0: "
                                "couplings are commuting variables")
         self.alg = alg
-        self.prune = bool(prune_empty_h4) and not alg.blocks
+        self.prune = bool(prune)
         self._pieces = {}
         self._classes = {}
 
     def classes(self, g, n, ell):
         key = (g, n, ell)
         if key not in self._classes:
+            alg = self.alg if self.prune else None
             if n == 0:
-                self._classes[key] = enumerate_sm(g, ell, _no_gg=self.prune)
+                self._classes[key] = enumerate_sm(g, ell, alg)
             else:
-                self._classes[key] = enumerate_desc(g, n, ell, _no_gg=self.prune)
+                self._classes[key] = enumerate_desc(g, n, ell, alg)
         return self._classes[key]
 
     def piece(self, g, n, ell):

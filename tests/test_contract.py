@@ -178,10 +178,12 @@ class TestFuzz:
 
 
 class RecordingTable(PotentialTable):
-    """A potential table remembering which pieces were asked for."""
+    """An unpruned potential table remembering which pieces were asked
+    for: its class lists keep the graphs the support rule drops, so the
+    tests below see every graph the generator can make."""
 
     def __init__(self, alg):
-        super().__init__(alg)
+        super().__init__(alg, prune=False)
         self.keys = set()
 
     def piece(self, g, n, ell):

@@ -63,9 +63,17 @@ class TestSmoothEnumeration:
         assert enumerate_sm(0, 2) == []
         assert enumerate_sm(1, 0) == []
 
-    def test_pruning_drops_gg_classes_only(self):
-        assert len(enumerate_sm(0, 3, _no_gg=True)) == 1
-        assert enumerate_sm(2, 0, _no_gg=True) == []
+    def test_pruning_drops_gg_classes_only(self, trivial, dual2):
+        # with no 4-blocks the GG table is empty, so the support rule
+        # keeps exactly the roses with no GG loop that need no split
+        for alg in (trivial, dual2):
+            assert len(enumerate_sm(0, 3, alg)) == 1
+            assert enumerate_sm(0, 4, alg) == []
+            assert enumerate_sm(1, 1, alg) == []
+            assert enumerate_sm(2, 0, alg) == []
+            assert [c.handles for c in enumerate_desc(1, 1, 0, alg)] == [1]
+            assert [c.handles for c in enumerate_desc(1, 2, 1, alg)] == [1]
+            assert enumerate_desc(1, 1, 1, alg) == []
         with pytest.raises(ValueError):
             enumerate_sm(-1, 0)
 
@@ -179,14 +187,15 @@ class TestBlockAlgebra:
         assert pot == T(0, 1) * T(0, 1) * T(0, 2) * Fraction(1, 2)
 
     def test_gg_classes_contribute_nothing(self, block6):
-        # the GG bivector is nonzero yet every GG class evaluates to
-        # zero: the image of the odd half-differential pairs to zero
-        # with itself
-        table = PotentialTable(block6)
-        assert table.prune is False
-        classes = table.classes(0, 0, 4)
-        assert len(classes) == 1
-        assert table.piece(0, 0, 4).is_zero()
+        # the GG bivector is e5 (x) e5 alone, and no vertex entry puts e5
+        # beside only H_0 or e5 indices: the support rule drops the
+        # two-vertex tree that the full list keeps, and its value is zero
+        pruned = PotentialTable(block6)
+        full = PotentialTable(block6, prune=False)
+        assert len(pruned.classes(0, 0, 4)) == 0
+        assert len(full.classes(0, 0, 4)) == 1
+        assert pruned.piece(0, 0, 4).is_zero()
+        assert full.piece(0, 0, 4).is_zero()
 
     def test_handle_window(self, block6):
         # weight 1/24 times the supertrace window 2 T[1,1]
@@ -238,5 +247,5 @@ class TestTableBehavior:
     @pytest.mark.parametrize("g,n,L", [(0, 0, 5), (1, 1, 3), (0, 2, 4)])
     def test_prune_is_transparent(self, dual2, g, n, L):
         pruned = PotentialTable(dual2)
-        full = PotentialTable(dual2, prune_empty_h4=False)
+        full = PotentialTable(dual2, prune=False)
         assert pruned.potential(g, n, L) == full.potential(g, n, L)

@@ -1,0 +1,85 @@
+"""The support rule of class generation: it drops only zero graphs, and
+it keeps the nonzero GG classes.
+
+Dropped graphs are evaluated by `oracle_evaluate` where they have at most
+nine half-edges and by `evaluate_graph` elsewhere, over the oracle grid
+g <= 2, n <= 4, L <= 4 of `tests/test_class_weights.py`.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from cyclichodge import potentials
+from cyclichodge.contract import evaluate_graph, oracle_evaluate
+from cyclichodge.poly import Poly
+from cyclichodge.potentials import PotentialTable, enumerate_desc, enumerate_sm
+
+GRID = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
+        if n or 2 * g - 2 + L >= 1]
+
+
+def value(alg, graph):
+    if graph.n_half_edges <= 9:
+        return oracle_evaluate(alg, graph)
+    return evaluate_graph(alg, graph)
+
+
+def classes(g, n, L, alg=None):
+    if n == 0:
+        return enumerate_sm(g, L, alg)
+    return enumerate_desc(g, n, L, alg)
+
+
+@pytest.mark.parametrize("name,dropped_children", [
+    ("block6", 6003), ("dual2", 6003), ("live8", 5579)])
+def test_dropped_graphs_are_zero(request, monkeypatch, name,
+                                 dropped_children):
+    alg = request.getfixturevalue(name)
+    dropped = []
+    split = potentials._split
+
+    def recording(graph, rule_alg):
+        # every child of every graph of the full lists that the rule
+        # would drop, also those whose parent it drops too
+        children = list(split(graph, rule_alg))
+        if rule_alg is None:
+            live = list(split(graph, alg))
+            dropped.extend(child for child in children if child not in live)
+        return children
+
+    monkeypatch.setattr(potentials, "_split", recording)
+    unkept = []
+    kept = nonzero = 0
+    for g, n, L in GRID:
+        pruned = classes(g, n, L, alg)
+        values = {cls.graph: evaluate_graph(alg, cls.graph) for cls in pruned}
+        pruned_piece = full_piece = Poly.zero()
+        for cls in pruned:
+            pruned_piece = pruned_piece + values[cls.graph] * cls.weight
+        for cls in classes(g, n, L):
+            if cls.graph in values:
+                full_piece = full_piece + values[cls.graph] * cls.weight
+            else:
+                # dropped at a split or at the finished vertex 0
+                unkept.append(cls.graph)
+        assert pruned_piece == full_piece, (g, n, L)
+        kept += len(pruned)
+        nonzero += not full_piece.is_zero()
+    # a graph's value depends only on its class: evaluate each class once
+    zeros = {graph.canonical_form(): graph for graph in dropped + unkept}
+    for graph in zeros.values():
+        assert value(alg, graph).is_zero(), graph
+    assert len(dropped) == dropped_children
+    assert kept and nonzero
+
+
+def test_live8_keeps_its_gg_tree(live8):
+    table = PotentialTable(live8)
+    T01, T02, T03, T04 = (Poly.var(0, i) for i in range(1, 5))
+    assert table.potential(0, 0, 4) == (
+        T01 * T01 * T02 * Fraction(1, 2) + T01 * T03 * T04
+        + T03 * T03 * T03 * T03 * Fraction(1, 8))
+    (tree,) = table.classes(0, 0, 4)
+    assert tree.graph.edges == ((0, 1, "GG"),)
+    assert tree.weight == Fraction(1, 8)
