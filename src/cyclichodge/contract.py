@@ -222,7 +222,7 @@ def _vertex_table(alg, arity):
             return
         for i in range(dim):
             nv = alg.basis_vector(i) if vec is None \
-                else alg.multiply_basis_right(vec, i)
+                else alg.multiply(vec, alg.basis_vector(i))
             if nv:
                 key.append(i)
                 rec(pos + 1, nv, key)

@@ -91,16 +91,3 @@ def supertrace(mat, parities):
         total += -mat[i][i] if p else mat[i][i]
     return total
 
-
-def vec_add(u, v):
-    out = dict(u)
-    for i, c in v.items():
-        out[i] = out.get(i, Fraction(0)) + c
-    return {i: c for i, c in out.items() if c != 0}
-
-
-def vec_scale(c, u):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {i: c * x for i, x in u.items()}

@@ -125,6 +125,8 @@ def _finish(relation, degree, params, residuals, details=None):
 def _evaluate(alg, table, degree, free, sides):
     """[(slice label, [[term value, ...] per side])] per value of the
     free names; derivatives are memoised per sorted multi-index."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     budgets = {}
     for _, factors, _ in (term for side in sides for term in side):
         saved = sum(1 for f in factors if isinstance(f, T) and f.level == 0)

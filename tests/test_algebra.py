@@ -63,11 +63,6 @@ class TestAlgebraOps:
         assert exterior2.integrate_basis_word([2, 1]) == -1
         assert exterior2.integrate_basis_word([1, 1]) == 0
 
-    def test_left_mult_by_unit(self, block6):
-        ident = block6.left_mult_matrix(block6.basis_vector(block6.unit))
-        assert all(ident[i][j] == (1 if i == j else 0)
-                   for i in range(block6.dim) for j in range(block6.dim))
-
     def test_gram_symmetry(self, block8):
         g = block8.gram()
         for i in range(block8.dim):
@@ -231,6 +226,154 @@ def test_mutations_all_caught(name):
         assert not report.ok, f"mutation not caught: {label}"
         count += 1
     assert count >= 2 * load_builtin(name).dim ** 2
+
+
+# One single-entry mutation per check that can fail, with the full report
+# it gives: each failing check's 1-based witness and detail, every other
+# check passing.  gplus-squared has none: G_+ is built from the blocks
+# (Qe -> e, QG_-e -> G_-e), so G_+^2 = 0 by construction and no algebra
+# that parses can fail it.
+PINNED_REPORTS = [
+    ("unit-parity", "dual2", "parity", [1, 0], {
+        "unit-parity": ((1,), "unit vector must be even"),
+        "product-parity": ((1, 1, 1), "product entry breaks parity"),
+        "supercommutativity": ((1, 1), "e_i e_j != (-1)^(pi pj) e_j e_i"),
+    }),
+    ("unit-multiplication", "trivial", "product", [1, 1, 1, "1/2"], {
+        "unit-multiplication": ((1, 1), "1 * e != e"),
+    }),
+    ("product-parity", "exterior2", "product", [2, 3, 2, "1"], {
+        "product-parity": ((2, 3, 2), "product entry breaks parity"),
+        "supercommutativity": ((2, 3), "e_i e_j != (-1)^(pi pj) e_j e_i"),
+        "associativity": ((2, 3, 3), "(ab)c != a(bc)"),
+    }),
+    ("supercommutativity", "exterior2", "product", [2, 2, 4, "5"], {
+        "supercommutativity": ((2, 2), "e_i e_j != (-1)^(pi pj) e_j e_i"),
+    }),
+    ("associativity", "exterior2", "product", [4, 4, 4, "-1"], {
+        "associativity": ((2, 3, 4), "(ab)c != a(bc)"),
+    }),
+    ("integral-parity", "dual2", "parity", [0, 1], {
+        "integral-parity": ((2,), "integral of an odd vector must vanish"),
+    }),
+    ("pairing-nondegenerate", "trivial", "integral", ["0"], {
+        "pairing-nondegenerate": ((), "gram matrix is singular"),
+    }),
+    ("q-parity", "dual2", "Q", [2, 1, "1"], {
+        "q-parity": ((2, 1), "Q entry does not flip parity"),
+        "q-kills-h0": ((2, 1), "Q must vanish on H_0"),
+        "q-leibniz": ((1, 1), "Q(ab) != Q(a)b + (-1)^pa a Q(b)"),
+        "q-integral-adjoint": ((1, 1), "Q is not integral-adjoint"),
+    }),
+    ("gminus-parity", "block6", "Gminus", [5, 4, "2"], {
+        "gminus-parity": ((5, 4), "G_- entry does not flip parity"),
+        "q-gminus-anticommutator": ((5, 3), "QG_- + G_-Q does not vanish"),
+    }),
+    ("q-squared", "block6", "Q", [2, 6, "-1"], {
+        "q-squared": ((2, 5), "Q^2 has a nonzero entry"),
+        "q-gminus-anticommutator": ((2, 4), "QG_- + G_-Q does not vanish"),
+        "q-integral-adjoint": ((1, 6), "Q is not integral-adjoint"),
+    }),
+    ("gminus-squared", "block6", "Gminus", [2, 6, "-1"], {
+        "gminus-squared": ((2, 4), "G_-^2 has a nonzero entry"),
+        "q-gminus-anticommutator": ((2, 5), "QG_- + G_-Q does not vanish"),
+        "gminus-integral-adjoint": ((1, 6), "G_- is not integral-adjoint"),
+    }),
+    ("q-gminus-anticommutator", "block8", "Gminus", [6, 2, "1"], {
+        "q-gminus-anticommutator": ((6, 3), "QG_- + G_-Q does not vanish"),
+        "gminus-integral-adjoint": ((2, 3), "G_- is not integral-adjoint"),
+        "gplus-gminus-anticommutator": ((7, 2), "G_-G_+ + G_+G_- does not vanish"),
+    }),
+    ("q-kills-h0", "exterior2", "Q", [4, 3, "5"], {
+        "q-kills-h0": ((4, 3), "Q must vanish on H_0"),
+        "q-integral-adjoint": ((1, 3), "Q is not integral-adjoint"),
+    }),
+    ("gminus-kills-h0", "exterior2", "Gminus", [4, 3, "1"], {
+        "gminus-kills-h0": ((4, 3), "G_- must vanish on H_0"),
+        "gminus-integral-adjoint": ((1, 3), "G_- is not integral-adjoint"),
+    }),
+    ("block-structure", "block6", "Q", [2, 3, "1/2"], {
+        "block-structure": ((3, 4), "Q e != (Q e) generator of the block"),
+        "q-integral-adjoint": ((1, 3), "Q is not integral-adjoint"),
+    }),
+    ("q-leibniz", "exterior2", "Q", [2, 1, "2"], {
+        "q-kills-h0": ((2, 1), "Q must vanish on H_0"),
+        "q-leibniz": ((1, 1), "Q(ab) != Q(a)b + (-1)^pa a Q(b)"),
+        "q-integral-adjoint": ((1, 3), "Q is not integral-adjoint"),
+    }),
+    ("gminus-seven-term", "block6", "product", [5, 5, 1, "-1"], {
+        "associativity": ((2, 5, 5), "(ab)c != a(bc)"),
+        "gminus-seven-term": ((3, 5, 2), "seven-term relation fails"),
+    }),
+    ("one-twelfth", "block8", "Gminus", [1, 4, "1/3"], {
+        "gminus-kills-h0": ((1, 4), "G_- must vanish on H_0"),
+        "gminus-seven-term": ((2, 3, 4), "seven-term relation fails"),
+        "one-twelfth": ((4,), "str(G_- a*) = 1/3 but (1/12) str(G_-(a)*) = 0"),
+        "gminus-integral-adjoint": ((4, 8), "G_- is not integral-adjoint"),
+    }),
+    ("q-integral-adjoint", "block6", "integral", ["0", "1", "0", "0", "0", "2"], {
+        "integral-parity": ((6,), "integral of an odd vector must vanish"),
+        "q-integral-adjoint": ((1, 5), "Q is not integral-adjoint"),
+        "gminus-integral-adjoint": ((1, 4), "G_- is not integral-adjoint"),
+        "hodge-pairing-orthogonal": ((1, 6), "H_0 and H_4 are not gram-orthogonal"),
+    }),
+    ("gminus-integral-adjoint", "block6", "integral", ["0", "1", "0", "0", "1/2", "1"], {
+        "integral-parity": ((6,), "integral of an odd vector must vanish"),
+        "q-integral-adjoint": ((1, 5), "Q is not integral-adjoint"),
+        "gminus-integral-adjoint": ((1, 3), "G_- is not integral-adjoint"),
+        "gplus-integral-adjoint": ((1, 6), "G_+ is not integral-adjoint"),
+        "hodge-pairing-orthogonal": ((1, 5), "H_0 and H_4 are not gram-orthogonal"),
+    }),
+    ("gplus-gminus-anticommutator", "block6", "Gminus", [6, 5, "2"], {
+        "gminus-squared": ((6, 3), "G_-^2 has a nonzero entry"),
+        "gminus-integral-adjoint": ((3, 5), "G_- is not integral-adjoint"),
+        "gplus-gminus-anticommutator": ((5, 5), "G_-G_+ + G_+G_- does not vanish"),
+    }),
+    ("gplus-integral-adjoint", "block6", "product", [5, 5, 2, "5"], {
+        "gminus-integral-adjoint": ((3, 5), "G_- is not integral-adjoint"),
+        "gplus-integral-adjoint": ((5, 6), "G_+ is not integral-adjoint"),
+    }),
+    ("pi4-idempotent", "block6", "Q", [6, 4, "-1"], {
+        "q-squared": ((6, 3), "Q^2 has a nonzero entry"),
+        "q-leibniz": ((3, 4), "Q(ab) != Q(a)b + (-1)^pa a Q(b)"),
+        "q-integral-adjoint": ((3, 4), "Q is not integral-adjoint"),
+        "pi4-idempotent": ((), "Pi_4 is not idempotent"),
+    }),
+    ("hodge-pairing-orthogonal", "block6", "integral", ["0", "1", "0", "5", "0", "0"], {
+        "q-integral-adjoint": ((1, 3), "Q is not integral-adjoint"),
+        "hodge-pairing-orthogonal": ((1, 4), "H_0 and H_4 are not gram-orthogonal"),
+    }),
+]
+
+
+def mutate(name, key, value):
+    """The builtin's JSON with one product, Q or Gminus entry set (any
+    entry at the same indices dropped) or its parity or integral list
+    replaced."""
+    obj = load_builtin(name).to_json_obj()
+    if key in ("product", "Q", "Gminus"):
+        n = len(value) - 1
+        obj[key] = [e for e in obj[key] if e[:n] != value[:n]] + [value]
+    else:
+        obj[key] = value
+    return obj
+
+
+def test_pinned_reports_cover_every_check():
+    assert ({target for target, *_ in PINNED_REPORTS}
+            == set(ALL_CHECKS) - {"gplus-squared"})
+
+
+@pytest.mark.parametrize("target, name, key, value, failures", PINNED_REPORTS,
+                         ids=[target for target, *_ in PINNED_REPORTS])
+def test_exact_report(target, name, key, value, failures):
+    report = check_axioms(parse_algebra(mutate(name, key, value)))
+    assert target in failures
+    assert report.to_json_obj() == {"ok": False, "checks": [
+        {"name": check, "passed": check not in failures,
+         "witness": list(failures.get(check, ((), ""))[0]),
+         "detail": failures.get(check, ((), ""))[1]}
+        for check in ALL_CHECKS]}
 
 
 class TestTargetedMutations:

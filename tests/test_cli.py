@@ -217,6 +217,17 @@ class TestBadInput:
         assert err.startswith("error: no such algebra")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("relation", [
+        "wdvv", "const", "string", "dilaton", "trr0", "trr1", "trr2", "all"])
+    def test_negative_degree(self, capsys, relation):
+        # wdvv and const used to pass vacuously on an empty window
+        rc = cli.main(["verify", "--algebra", "dual2", "--relation", relation,
+                       "--degree", "-1", "--genus", "1", "--n", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: degree must be nonnegative\n"
+
     def test_malformed_graph(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": 0}')

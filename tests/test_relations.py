@@ -135,6 +135,13 @@ class TestDispatchAndGuards:
         # BudgetError is a ValueError so callers may catch broadly
         assert issubclass(BudgetError, ValueError)
 
+    def test_negative_degree(self, dual2):
+        # an empty window would be a vacuous pass: nothing was compared
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            check_wdvv(dual2, -1)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            run_battery(dual2, -1, 2)
+
     def test_registry(self):
         assert set(RELATIONS) == {"wdvv", "const", "string", "dilaton",
                                   "trr0", "trr1", "trr2"}
