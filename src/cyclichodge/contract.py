@@ -17,10 +17,10 @@ the result does not depend on the choice.
 
 `evaluate_graph` eliminates half-edge variables one at a time over
 sparse factor tables, greedily taking the variable whose merged factor
-is cheapest, and returns zero as soon as a summed-out factor is empty.
-It carries the Koszul sign as one flip factor over parity bits per
-inverted half-edge pair, built only where both half-edges can carry an
-odd index (some key of their edge or leaf factors puts one there); a
+is cheapest, and returns zero as soon as a factor, built or summed out,
+is empty.  It carries the Koszul sign as one flip factor over parity bits
+per inverted half-edge pair, built only where both half-edges can carry
+an odd index (some key of their edge or leaf factors puts one there); a
 half-edge that can only be even flips nothing.
 
 Its constant tensors are built on first use and kept with the algebra
@@ -373,6 +373,10 @@ def evaluate_graph(alg, graph, plan=None):
     validate_plan(graph, plan)
     nhe = graph.n_half_edges
     factors, denominator = _build_factors(alg, graph, plan)
+    if not all(table for _, table in factors):
+        # an empty table (a GG edge over an algebra with no 4-blocks)
+        # makes every term zero
+        return Poly.zero()
     domain = {h: alg.dim for h in range(nhe)}
     # Koszul signs through parity bits: each flip factor acts on the bit
     # variables nhe + h of two half-edges that can both carry an odd

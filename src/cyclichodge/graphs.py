@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
@@ -45,7 +46,8 @@ def leaf_basis_index(mark):
 class MarkedGraph:
     """Immutable-by-convention marked multigraph."""
 
-    __slots__ = ("n_vertices", "edges", "leaves")
+    # _sweep keeps the canonical-form sweep (see _least_encoding)
+    __slots__ = ("n_vertices", "edges", "leaves", "_sweep")
 
     def __init__(self, n_vertices, edges, leaves=()):
         if not isinstance(n_vertices, int) or n_vertices < 1:
@@ -69,6 +71,7 @@ class MarkedGraph:
         self.n_vertices = n_vertices
         self.edges = tuple(norm_edges)
         self.leaves = tuple(norm_leaves)
+        self._sweep = None
 
     # -- half-edge geometry ------------------------------------------------
 
@@ -97,12 +100,6 @@ class MarkedGraph:
 
     def degree(self, v):
         return len(self.germs()[v])
-
-    def leaf_marks_at(self, v):
-        return tuple(sorted(mark for (w, mark) in self.leaves if w == v))
-
-    def loop_marks_at(self, v):
-        return tuple(sorted(mark for (a, b, mark) in self.edges if a == b == v))
 
     def vertex_profile(self, v):
         """(own_handles, other_germs): IDLOOP count and remaining degree."""
@@ -144,29 +141,21 @@ class MarkedGraph:
             [(perm[u], perm[v], m) for (u, v, m) in self.edges],
             [(perm[v], m) for (v, m) in self.leaves])
 
-    def _refined_classes(self):
+    def _refined_classes(self, leaf_marks, loop_marks, adjacent):
         """1-dimensional color refinement; returns the classes by rank.
 
         Ranks are comparable across isomorphic graphs: each round sorts
         the (previous rank, neighborhood multiset) signatures and
         renumbers, and the signatures are built only from marks and
-        previous ranks.
+        previous ranks.  `adjacent[v]` lists the (mark, endpoint) of each
+        non-loop edge at v.
         """
         V = self.n_vertices
-        sig = [(self.leaf_marks_at(v), self.loop_marks_at(v)) for v in range(V)]
-        ranks = self._compress(sig)
+        ranks = self._compress(list(zip(leaf_marks, loop_marks)))
         for _ in range(V):
-            sig = []
-            for v in range(V):
-                nb = []
-                for (a, b, mark) in self.edges:
-                    if a == b:
-                        continue
-                    if a == v:
-                        nb.append((mark, ranks[b]))
-                    elif b == v:
-                        nb.append((mark, ranks[a]))
-                sig.append((ranks[v], tuple(sorted(nb))))
+            sig = [(ranks[v], tuple(sorted((mark, ranks[x])
+                                           for (mark, x) in adjacent[v])))
+                   for v in range(V)]
             new_ranks = self._compress(sig)
             if new_ranks == ranks:
                 break
@@ -182,28 +171,58 @@ class MarkedGraph:
         return [order[s] for s in sig]
 
     def _least_encoding(self):
-        """One sweep over the refined orderings: the least encoding and
-        how many orderings reach it.
+        """One sweep over the refined orderings, kept with this graph.
 
-        Two orderings reach the same encoding exactly when the vertex
-        permutation between them preserves the marked structure, so the
-        count is the number of such permutations.
+        The sweep keeps the least encoding, the first ordering that
+        reaches it (the canonical representative's vertex i is its i-th
+        vertex), and for each ordering that reaches it the vertex
+        permutation taking the first one to it.  Two orderings reach the
+        same encoding exactly when that permutation preserves the marked
+        structure, so these are the vertex automorphisms, each once, the
+        identity first.
         """
-        classes = self._refined_classes()
-        marks = [(self.leaf_marks_at(v),) for v in range(self.n_vertices)]
-        best, count = None, 0
+        if self._sweep is None:
+            self._sweep = self._sweep_orderings()
+        return self._sweep
+
+    def _sweep_orderings(self):
+        V = self.n_vertices
+        leaf_marks = [[] for _ in range(V)]
+        loop_marks = [[] for _ in range(V)]
+        adjacent = [[] for _ in range(V)]
+        for (v, mark) in self.leaves:
+            leaf_marks[v].append(mark)
+        for (u, v, mark) in self.edges:
+            if u == v:
+                loop_marks[u].append(mark)
+            else:
+                adjacent[u].append((mark, v))
+                adjacent[v].append((mark, u))
+        leaf_marks = [tuple(sorted(marks)) for marks in leaf_marks]
+        loop_marks = [tuple(sorted(marks)) for marks in loop_marks]
+        classes = self._refined_classes(leaf_marks, loop_marks, adjacent)
+        best, reaching = None, []
+        newid = [0] * V
         for combo in product(*(permutations(c) for c in classes)):
             order = [v for cls in combo for v in cls]
-            newid = {v: i for i, v in enumerate(order)}
-            encoding = (self.n_vertices, tuple(marks[v] for v in order),
+            for i, v in enumerate(order):
+                newid[v] = i
+            encoding = (V, tuple((leaf_marks[v],) for v in order),
                         tuple(sorted((min(newid[u], newid[v]),
                                       max(newid[u], newid[v]), m)
                                      for (u, v, m) in self.edges)))
             if best is None or encoding < best:
-                best, count = encoding, 1
+                best, reaching = encoding, [order]
             elif encoding == best:
-                count += 1
-        return best, count
+                reaching.append(order)
+        first = reaching[0]
+        automorphisms = []
+        for order in reaching:
+            perm = [0] * V
+            for v, image in zip(first, order):
+                perm[v] = image
+            automorphisms.append(tuple(perm))
+        return best, tuple(first), tuple(automorphisms)
 
     def canonical_form(self):
         """Isomorphism-invariant string key (same key iff same marked graph
@@ -213,10 +232,23 @@ class MarkedGraph:
     def canonical_graph(self):
         """The isomorphism class's canonical representative: vertices in
         the order of the least encoding, edges and leaves sorted."""
-        n_vertices, verts, edges = self._least_encoding()[0]
-        return MarkedGraph(n_vertices, edges,
-                           [(v, m) for v, (marks,) in enumerate(verts)
-                            for m in marks])
+        encoding, first, automorphisms = self._least_encoding()
+        n_vertices, verts, edges = encoding
+        rep = MarkedGraph(n_vertices, edges,
+                          [(v, m) for v, (marks,) in enumerate(verts)
+                           for m in marks])
+        # the representative has the same least encoding, reached first
+        # by the identity; its automorphisms are these conjugated by first
+        position = {v: i for i, v in enumerate(first)}
+        rep._sweep = (encoding, tuple(range(n_vertices)),
+                      tuple(tuple(position[perm[v]] for v in first)
+                            for perm in automorphisms))
+        return rep
+
+    def vertex_automorphisms(self):
+        """The vertex permutations preserving the marked structure, as
+        tuples p renaming vertex v to p[v]; the identity first."""
+        return self._least_encoding()[2]
 
     def automorphism_order(self):
         """Order of the automorphism group acting on half-edges.
@@ -226,22 +258,14 @@ class MarkedGraph:
         k parallel equal-mark edges, 2^l l! for l equal-mark loops at a
         vertex, k! for k equal-mark leaves at a vertex.
         """
-        pairs = {}
-        for (u, v, m) in self.edges:
-            pairs.setdefault((u, v), []).append(m)
+        (_, verts, edges), _, automorphisms = self._least_encoding()
         lifts = 1
-        for (u, v), marks in pairs.items():
-            for m in set(marks):
-                c = marks.count(m)
-                if u == v:
-                    lifts *= 2 ** c * factorial(c)
-                else:
-                    lifts *= factorial(c)
-        for v in range(self.n_vertices):
-            marks = self.leaf_marks_at(v)
-            for m in set(marks):
-                lifts *= factorial(marks.count(m))
-        return self._least_encoding()[1] * lifts
+        for (u, v, _), c in Counter(edges).items():
+            lifts *= factorial(c) * (2 ** c if u == v else 1)
+        for (marks,) in verts:
+            for c in Counter(marks).values():
+                lifts *= factorial(c)
+        return len(automorphisms) * lifts
 
     # -- serialization --------------------------------------------------------
 
@@ -317,9 +341,9 @@ def is_valid_smooth_graph(graph, genus):
     for (_, m) in graph.leaves:
         if m != "E0":
             return False, f"leaf mark {m} not allowed in the primary sum"
-    for v in range(graph.n_vertices):
-        if graph.degree(v) != 3:
-            return False, f"vertex {v + 1} has degree {graph.degree(v)}"
+    for v, at in enumerate(graph.germs()):
+        if len(at) != 3:
+            return False, f"vertex {v + 1} has degree {len(at)}"
     return True, ""
 
 
@@ -355,9 +379,7 @@ def is_valid_descendant_graph(graph, genus, n):
     if n != 3 * gprime - 3 + mprime:
         return False, (f"arrow vertex has handles={gprime}, germs={mprime}, "
                        f"which encodes level {3 * gprime - 3 + mprime}, not {n}")
-    for v in range(graph.n_vertices):
-        if v == v0:
-            continue
-        if graph.degree(v) != 3:
-            return False, f"vertex {v + 1} has degree {graph.degree(v)}"
+    for v, at in enumerate(graph.germs()):
+        if v != v0 and len(at) != 3:
+            return False, f"vertex {v + 1} has degree {len(at)}"
     return True, ""

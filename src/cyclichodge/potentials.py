@@ -24,18 +24,31 @@ representatives: contraction cost depends on the labeling (one sign
 factor per inverted pair of half-edges that can both be odd), so it must
 not follow generation.
 
+A graph is split once per orbit of such pairs under its vertex
+automorphisms that fix vertex 0.  Each germ is named by its far end: the
+neighbour of a GG edge, vertex 0 for a GG loop end, none for a leaf.  Two
+pairs share an orbit when one such automorphism maps the far ends of one
+onto those of the other and either both or neither are the two ends of
+one loop.  The vertex map then lifts to a half-edge automorphism taking
+one pair to the other, since parallel GG edges, GG loops, the ends of a
+loop and the E0 leaves at a vertex can each be permuted freely; so the
+two children are isomorphic, and keeping one loses no class.  The dedup
+stays: children of different parents, or of pairs in different orbits,
+can still be isomorphic.
+
 Given an algebra, a split whose new vertex w is zero there is dropped
 before dedup.  Later splits move germs off vertex 0 only, so w keeps its
-three germs for good, and each germ's mark fixes the basis indices it can
-carry: a GG half-edge those on either leg of the GG edge table, an E<k>
-leaf those of H_0.  If no entry of the arity-3 vertex table fits them,
-every term of every graph grown from the child is zero.  The finished
-vertex 0 takes the same test against the table of its arity.  The rule
-keeps every nonzero class: such a class has no zero vertex, and its
-contraction path back to the rose passes only through graphs whose other
-vertices are vertices of the class.  Over an algebra with no 4-blocks the
-GG table is empty, so only a rose with no GG loop that needs no split is
-kept.
+three germs for good, and each germ's mark fixes the basis indices it
+can carry: a GG half-edge those on either leg of the GG edge table, an
+E<k> leaf those of H_0.  If no entry of the arity-3 vertex table fits
+them, every term of every graph grown from the child is zero.  The
+finished vertex 0 takes the same test at its arity.  The test folds
+products over the germs' supports only and stops at the first nonzero
+integral, so it builds no vertex table.  The rule keeps every nonzero
+class: such a class has no zero vertex, and its contraction path back to
+the rose passes only through graphs whose other vertices are vertices of
+the class.  Over an algebra with no 4-blocks the GG table is empty, so
+only a rose with no GG loop that needs no split is kept.
 """
 
 from __future__ import annotations
@@ -46,8 +59,7 @@ from itertools import combinations
 from math import factorial
 
 from .algebra import AlgebraError, check_axioms
-from .contract import (_edge_tensor, _leaf_tensor, _vertex_tensor,
-                       evaluate_graph)
+from .contract import _edge_tensor, _leaf_tensor, evaluate_graph
 from .graphs import (EDGE_MARKS, MarkedGraph, is_valid_descendant_graph,
                      is_valid_smooth_graph)
 from .poly import Poly
@@ -79,18 +91,28 @@ def _support(alg, mark):
 def _live(alg, marks):
     """Whether some entry of the vertex table fits a vertex whose germs
     carry these marks (the table is graded-symmetric, so one order of the
-    germs serves)."""
+    germs serves).
+
+    The products are folded left to right over each germ's support only,
+    pruning zero partial products as the table's own fold does, and the
+    search stops at the first nonzero integral; no table is built.
+    """
     marks = tuple(sorted(marks))
 
-    def build():
-        supports = [_support(alg, mark) for mark in marks]
-        # an empty support decides it without building the vertex table
-        if not all(supports):
-            return False
-        table, _ = _vertex_tensor(alg, len(marks))
-        return any(all(i in s for i, s in zip(key, supports)) for key in table)
+    def fits(supports, vec):
+        if not supports:
+            if vec is None:
+                vec = alg.basis_vector(alg.unit)
+            return alg.integrate(vec) != 0
+        for i in supports[0]:
+            nv = alg.basis_vector(i) if vec is None \
+                else alg.multiply(vec, alg.basis_vector(i))
+            if nv and fits(supports[1:], nv):
+                return True
+        return False
 
-    return alg.memo(("live", marks), build)
+    return alg.memo(("live", marks), lambda: fits(
+        [sorted(_support(alg, mark)) for mark in marks], None))
 
 
 def _marks_at(graph, v):
@@ -101,23 +123,35 @@ def _marks_at(graph, v):
 
 
 def _split(graph, alg):
-    """Every graph made by moving an unordered pair of GG half-edges or E0
-    leaves off vertex 0 onto a new vertex w joined to vertex 0 by GG;
-    given an algebra, only those whose w can be nonzero over it."""
+    """One graph for each orbit of unordered pairs of GG half-edges or E0
+    leaves at vertex 0, moved off vertex 0 onto a new vertex w joined to
+    vertex 0 by GG; given an algebra, only those whose w can be nonzero
+    over it."""
     w = graph.n_vertices
-    # a germ is (table, entry, slot, mark): table 0 holds edges, table 1
-    # leaves
-    germs = [(0, e, end, "GG") for e, edge in enumerate(graph.edges)
-             if edge[2] == "GG" for end in (0, 1) if edge[end] == 0]
-    # the E0 leaves at vertex 0 are interchangeable: two cover every choice
-    germs += [(1, j, 0, "E0") for j, leaf in enumerate(graph.leaves)
-              if leaf == (0, "E0")][:2]
+    # a germ is (table, entry, slot, mark, end): table 0 holds edges,
+    # table 1 leaves; end is the vertex at the germ's far end (0 for a
+    # loop), -1 for a leaf
+    germs = [(0, e, slot, "GG", edge[1 - slot])
+             for e, edge in enumerate(graph.edges)
+             if edge[2] == "GG" for slot in (0, 1) if edge[slot] == 0]
+    germs += [(1, j, 0, "E0", -1) for j, leaf in enumerate(graph.leaves)
+              if leaf == (0, "E0")]
+    fixing = [p for p in graph.vertex_automorphisms() if p[0] == 0]
+    seen = set()
     for pair in combinations(germs, 2):
+        # the orbit's key: the least image of the two far ends, and
+        # whether the germs are the two ends of one loop
+        key = (min(tuple(sorted(p[end] if end >= 0 else end
+                                for (*_, end) in pair)) for p in fixing),
+               pair[0][:2] == pair[1][:2])
+        if key in seen:
+            continue
+        seen.add(key)
         if alg is not None and not _live(alg, ["GG", pair[0][3], pair[1][3]]):
             continue
         edges, leaves = tables = ([list(edge) for edge in graph.edges],
                                   [list(leaf) for leaf in graph.leaves])
-        for table, entry, slot, _ in pair:
+        for table, entry, slot, _, _ in pair:
             tables[table][entry][slot] = w
         yield MarkedGraph(w + 1, edges + [(0, w, "GG")], leaves)
 

@@ -10,13 +10,14 @@ from cyclichodge.graphs import (
     MarkedGraph, is_valid_descendant_graph, is_valid_smooth_graph,
     leaf_basis_index, leaf_level,
 )
+from cyclichodge.potentials import enumerate_sm
 from conftest import random_connected_graph
 
 
-def brute_automorphisms(graph):
-    """Half-edge count by direct enumeration: vertex permutations times
-    independently checked edge/leaf bijections fixing endpoints and marks."""
-    count = 0
+def brute_vertex_automorphisms(graph):
+    """The vertex permutations mapping the marked edges and leaves onto
+    themselves, by direct enumeration."""
+    found = []
     for perm in itertools.permutations(range(graph.n_vertices)):
         mapped = sorted((min(perm[u], perm[v]), max(perm[u], perm[v]), m)
                         for (u, v, m) in graph.edges)
@@ -24,26 +25,37 @@ def brute_automorphisms(graph):
             continue
         if sorted((perm[v], m) for (v, m) in graph.leaves) != sorted(graph.leaves):
             continue
-        lifts = 1
-        pair_marks = {}
-        for (u, v, m) in graph.edges:
-            pair_marks.setdefault((u, v), []).append(m)
-        for (u, v), marks in pair_marks.items():
-            for m in set(marks):
-                c = marks.count(m)
-                lifts *= (2 ** c if u == v else 1)
-                for t in range(2, c + 1):
-                    lifts *= t
-        leaf_marks = {}
-        for (v, m) in graph.leaves:
-            leaf_marks.setdefault(v, []).append(m)
-        for v, marks in leaf_marks.items():
-            for m in set(marks):
-                c = marks.count(m)
-                for t in range(2, c + 1):
-                    lifts *= t
-        count += lifts
+        found.append(perm)
+    return found
+
+
+def lifts(graph):
+    """Edge/leaf bijections fixing endpoints and marks, counted directly."""
+    count = 1
+    pair_marks = {}
+    for (u, v, m) in graph.edges:
+        pair_marks.setdefault((u, v), []).append(m)
+    for (u, v), marks in pair_marks.items():
+        for m in set(marks):
+            c = marks.count(m)
+            count *= (2 ** c if u == v else 1)
+            for t in range(2, c + 1):
+                count *= t
+    leaf_marks = {}
+    for (v, m) in graph.leaves:
+        leaf_marks.setdefault(v, []).append(m)
+    for v, marks in leaf_marks.items():
+        for m in set(marks):
+            c = marks.count(m)
+            for t in range(2, c + 1):
+                count *= t
     return count
+
+
+def brute_automorphisms(graph):
+    """Half-edge count by direct enumeration: vertex permutations times
+    independently checked edge/leaf bijections fixing endpoints and marks."""
+    return len(brute_vertex_automorphisms(graph)) * lifts(graph)
 
 
 class TestBasics:
@@ -169,6 +181,31 @@ class TestAutomorphisms:
             assert g.automorphism_order() == brute_automorphisms(g), repr(g)
             checked += 1
         assert checked >= 60
+
+    def test_recorded_vertex_automorphisms(self):
+        # symmetric classes in random labelings, their canonical
+        # representatives (which inherit the sweep) and random graphs
+        rng = random.Random(53)
+        graphs = []
+        for L in range(3):
+            for cls in enumerate_sm(2, L):
+                perm = list(range(cls.graph.n_vertices))
+                rng.shuffle(perm)
+                graphs.append(cls.graph.relabel(perm))
+        graphs += [random_connected_graph(rng, 2, max_vertices=4)
+                   for _ in range(40)]
+        graphs += [g.canonical_graph() for g in graphs]
+        for g in graphs:
+            perms = g.vertex_automorphisms()
+            assert perms[0] == tuple(range(g.n_vertices))
+            for perm in perms:
+                mapped = g.relabel(perm)
+                assert sorted(mapped.edges) == sorted(g.edges), (g, perm)
+                assert sorted(mapped.leaves) == sorted(g.leaves), (g, perm)
+            assert sorted(perms) == brute_vertex_automorphisms(g), g
+            assert len(perms) * lifts(g) == brute_automorphisms(g), g
+            assert g.automorphism_order() == brute_automorphisms(g), g
+        assert max(len(g.vertex_automorphisms()) for g in graphs) >= 4
 
 
 class TestValidity:

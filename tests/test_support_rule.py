@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 from cyclichodge import potentials
+from cyclichodge.builtin import load_builtin
 from cyclichodge.contract import evaluate_graph, oracle_evaluate
 from cyclichodge.poly import Poly
 from cyclichodge.potentials import PotentialTable, enumerate_desc, enumerate_sm
+from cyclichodge.relations import run_battery
 
 GRID = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
         if n or 2 * g - 2 + L >= 1]
@@ -32,7 +34,9 @@ def classes(g, n, L, alg=None):
 
 
 @pytest.mark.parametrize("name,dropped_children", [
-    ("block6", 6003), ("dual2", 6003), ("live8", 5579)])
+    pytest.param("block6", 3219, id="block6"),
+    pytest.param("dual2", 3219, id="dual2"),
+    pytest.param("live8", 2795, id="live8")])
 def test_dropped_graphs_are_zero(request, monkeypatch, name,
                                  dropped_children):
     alg = request.getfixturevalue(name)
@@ -83,3 +87,20 @@ def test_live8_keeps_its_gg_tree(live8):
     (tree,) = table.classes(0, 0, 4)
     assert tree.graph.edges == ((0, 1, "GG"),)
     assert tree.weight == Fraction(1, 8)
+
+
+def test_rule_builds_no_vertex_table():
+    # the rule folds products over each germ's support only, so the
+    # vertex tables the battery builds are those its kept classes use
+    alg = load_builtin("block6")
+    arities = set()
+
+    class Recording(PotentialTable):
+        def classes(self, g, n, ell):
+            out = super().classes(g, n, ell)
+            arities.update(len(at) for cls in out for at in cls.graph.germs())
+            return out
+
+    assert all(r.ok for r in run_battery(alg, 2, 2, table=Recording(alg)))
+    built = {key[1] for key in alg._memo if key[:1] == ("vertex",)}
+    assert built and built <= arities, (built, arities)
