@@ -70,7 +70,9 @@ class DegeneracyError(AlgebraError):
 class CHAlgebra:
     """Immutable algebra data.  All indices are 0-based internally.
 
-    product[i][j][k] is the coefficient of e_k in e_i * e_j;
+    product[i][j] lists the nonzero terms (k, c) of e_i * e_j = sum c e_k,
+    ascending in k, with whole coefficients c kept as ints (they multiply
+    faster than Fractions);
     q[i][j] (resp. gminus[i][j]) is the coefficient of e_i in the image
     of e_j; integral[i] is the integral of e_i.  h0 lists the basis
     indices spanning H_0 and blocks the 4-tuples (e, Qe, G-e, QG-e).
@@ -105,16 +107,11 @@ class CHAlgebra:
     # -- basic operations ------------------------------------------------
 
     def multiply(self, u, v):
-        """Product of two sparse coordinate vectors, walking the nonzero
-        (k, coefficient) entries of each e_i * e_j.  Whole coefficients
-        are kept as ints, which multiply faster than Fractions."""
-        table = self.memo("products", lambda: tuple(
-            tuple(tuple((k, int(c) if c.denominator == 1 else c)
-                        for k, c in enumerate(row) if c)
-                  for row in plane) for plane in self.product))
+        """Product of two sparse coordinate vectors, walking the product
+        terms of each e_i * e_j."""
         out = {}
         for i, ci in u.items():
-            row = table[i]
+            row = self.product[i]
             for j, cj in v.items():
                 c = ci * cj
                 for k, m in row[j]:
@@ -151,13 +148,9 @@ class CHAlgebra:
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self):
-        prod = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.product[i][j][k]
-                    if c != 0:
-                        prod.append([i + 1, j + 1, k + 1, format_rational(c)])
+        prod = [[i + 1, j + 1, k + 1, format_rational(c)]
+                for i, plane in enumerate(self.product)
+                for j, terms in enumerate(plane) for k, c in terms]
 
         def op_entries(mat):
             ents = []
@@ -213,45 +206,35 @@ def parse_algebra(obj, name=""):
             raise FormatError(f"{what}: index {i!r} out of range 1..{dim}")
         return i - 1
 
-    prod = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
-    if not isinstance(product_entries, list):
-        raise FormatError("product must be a list of [i, j, k, coeff] entries")
-    for ent in product_entries:
-        if not isinstance(ent, list) or len(ent) != 4:
-            raise FormatError(f"bad product entry {ent!r}")
-        i = check_index(ent[0], "product")
-        j = check_index(ent[1], "product")
-        k = check_index(ent[2], "product")
-        if (i, j, k) in seen:
-            raise FormatError(f"duplicate product entry for ({ent[0]},{ent[1]},{ent[2]})")
-        seen.add((i, j, k))
-        try:
-            prod[i][j][k] = parse_rational(ent[3])
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-
-    def parse_op(entries, what):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        seen_ij = set()
+    def read_rows(entries, what, width):
+        """{0-based index tuple: coefficient} of [index.., coeff] rows,
+        each with `width` indices."""
         if not isinstance(entries, list):
-            raise FormatError(f"{what} must be a list of [i, j, coeff] entries")
+            raise FormatError(f"{what} must be a list of "
+                              f"[{', '.join('ijk'[:width])}, coeff] entries")
+        rows = {}
         for ent in entries:
-            if not isinstance(ent, list) or len(ent) != 3:
+            if not isinstance(ent, list) or len(ent) != width + 1:
                 raise FormatError(f"bad {what} entry {ent!r}")
-            i = check_index(ent[0], what)
-            j = check_index(ent[1], what)
-            if (i, j) in seen_ij:
-                raise FormatError(f"duplicate {what} entry for ({ent[0]},{ent[1]})")
-            seen_ij.add((i, j))
+            key = tuple(check_index(i, what) for i in ent[:width])
+            if key in rows:
+                raise FormatError(f"duplicate {what} entry for "
+                                  f"({','.join(map(str, ent[:width]))})")
             try:
-                mat[i][j] = parse_rational(ent[2])
+                rows[key] = parse_rational(ent[width])
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
+        return rows
+
+    def matrix(rows):
+        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        for (i, j), c in rows.items():
+            mat[i][j] = c
         return tuple(tuple(row) for row in mat)
 
-    q = parse_op(q_entries, "Q")
-    gm = parse_op(g_entries, "Gminus")
+    products = read_rows(product_entries, "product", 3)
+    q = read_rows(q_entries, "Q", 2)
+    gm = read_rows(g_entries, "Gminus", 2)
 
     if not isinstance(integral, list) or len(integral) != dim:
         raise FormatError("integral must be a list of dim rationals")
@@ -273,13 +256,18 @@ def parse_algebra(obj, name=""):
     if sorted(covered) != list(range(dim)):
         raise FormatError("H0 and the blocks must partition the basis")
 
+    # the dim^2 layouts are built only once every check has passed
+    terms = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in sorted(products.items()):
+        if c:
+            terms[i][j].append((k, int(c) if c.denominator == 1 else c))
     return CHAlgebra(
         dim=dim,
         parity=tuple(parity),
         unit=unit - 1,
-        product=tuple(tuple(tuple(row) for row in plane) for plane in prod),
-        q=q,
-        gminus=gm,
+        product=tuple(tuple(map(tuple, plane)) for plane in terms),
+        q=matrix(q),
+        gminus=matrix(gm),
         integral=integ,
         h0=h0,
         blocks=tuple(blocks),
@@ -465,8 +453,8 @@ def check_axioms(alg):
                                ((i, unit), "e * 1 != e", e(i), e(unit)))
             if mul(x, y) != e(i))),
         ("product-parity", (((i, j, k), "product entry breaks parity")
-                            for i, j, k in triples if alg.product[i][j][k]
-                            and (par[i] + par[j] + par[k]) % 2)),
+                            for i, j in pairs for k, _ in alg.product[i][j]
+                            if (par[i] + par[j] + par[k]) % 2)),
         ("supercommutativity", (
             ((i, j), "e_i e_j != (-1)^(pi pj) e_j e_i")
             for i, j in pairs if i <= j

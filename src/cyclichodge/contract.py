@@ -24,18 +24,21 @@ an odd index (some key of their edge or leaf factors puts one there); a
 half-edge that can only be even flips nothing.
 
 Its constant tensors are built on first use and kept with the algebra
-object (`CHAlgebra.memo`): one bivector table per (edge mark, twist),
-one vertex table per arity and one leaf table per leaf mark.  Edge and
-vertex tables are stored as int entries times 1/d for one positive
-integer d, so the joins multiply ints (and coupling Polys); the value is
-divided by the product of the denominators of the factors used, once, at
-the end.
+object (`CHAlgebra.memo`), each holding its exact values: one bivector
+table per (edge mark, twist), one vertex table per arity and one leaf
+table per leaf mark.  One fold builds every vertex table: it multiplies
+basis vectors left to right over a list of allowed indices per slot,
+drops zero partial products and yields each word with a nonzero
+integral.  Over every index it gives the vertex table; over the indices
+that germs' edge and leaf tables allow it is the support rule of class
+generation (`live_vertex`), which stops at the first word it finds.
 
 `oracle_evaluate` recomputes the same value by brute enumeration of all
 nonzero edge/leaf terms with signs from an explicit bubble sort.  It
-builds its own Fraction bivectors from `bivector` and `mark_matrix` on
-every call and uses neither the kept tables nor the integer scaling, so
-agreement checks those as well as the elimination bookkeeping.
+builds its own bivectors from `bivector` and `mark_matrix` on every call,
+integrates each word with `CHAlgebra.integrate_basis_word` and uses none
+of the kept tables, so agreement checks those as well as the elimination
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import itemgetter
 
 from .algebra import derive_ops
 from .graded import identity_matrix, mat_mul, transpose
-from .graphs import leaf_basis_index, leaf_level
+from .graphs import EDGE_MARKS, leaf_basis_index, leaf_level
 from .poly import Poly
 
 
@@ -205,57 +207,65 @@ def leaf_vector(alg, mark):
     return {i: Fraction(1)}
 
 
+def _fold(alg, supports, vec=None, key=()):
+    """Yield (key, integral(e_key[0] * .. * e_key[-1])) for each key with
+    key[s] in supports[s] and a nonzero integral, multiplying left to
+    right and dropping zero partial products; vec is the product so far
+    of the indices in key."""
+    if not supports:
+        value = alg.integrate(alg.basis_vector(alg.unit) if vec is None
+                              else vec)
+        if value:
+            yield key, value
+        return
+    for i in supports[0]:
+        nv = alg.basis_vector(i) if vec is None \
+            else alg.multiply(vec, alg.basis_vector(i))
+        if nv:
+            yield from _fold(alg, supports[1:], nv, key + (i,))
+
+
 def _vertex_table(alg, arity):
     """Sparse table {(i_1,..,i_n): integral(e_i1 * .. * e_in)} over the
-    n = arity germ slots, built by left-to-right folding with zero
-    pruning."""
-    entries = {}
-    dim = alg.dim
-
-    def rec(pos, vec, key):
-        if pos == arity:
-            if vec is None:
-                vec = alg.basis_vector(alg.unit)
-            val = alg.integrate(vec)
-            if val != 0:
-                entries[tuple(key)] = val
-            return
-        for i in range(dim):
-            nv = alg.basis_vector(i) if vec is None \
-                else alg.multiply(vec, alg.basis_vector(i))
-            if nv:
-                key.append(i)
-                rec(pos + 1, nv, key)
-                key.pop()
-
-    rec(0, None, [])
-    return entries
-
-
-def _integer_table(table):
-    """(entries, d): the Fraction table times its least common denominator
-    d, so that every entry is an int."""
-    d = 1
-    for val in table.values():
-        d = lcm(d, val.denominator)
-    return {key: int(val * d) for key, val in table.items()}, d
+    n = arity germ slots."""
+    return dict(_fold(alg, [range(alg.dim)] * arity))
 
 
 def _edge_tensor(alg, mark, twist):
-    return alg.memo(("edge", mark, twist), lambda: _integer_table(
-        bivector(alg, mark_matrix(alg, mark), twist)))
+    return alg.memo(("edge", mark, twist),
+                    lambda: bivector(alg, mark_matrix(alg, mark), twist))
 
 
 def _vertex_tensor(alg, arity):
-    return alg.memo(("vertex", arity),
-                    lambda: _integer_table(_vertex_table(alg, arity)))
+    return alg.memo(("vertex", arity), lambda: _vertex_table(alg, arity))
 
 
 def _leaf_tensor(alg, mark):
-    # entries are 1 or a coupling Poly; a bad mark raises on every call
+    # a bad mark raises on every call
     return alg.memo(("leaf", mark), lambda: {
-        (i,): 1 if val == 1 else val
-        for i, val in leaf_vector(alg, mark).items()})
+        (i,): val for i, val in leaf_vector(alg, mark).items()})
+
+
+def _support(alg, mark):
+    """The basis indices a germ with this edge or leaf mark can carry in a
+    nonzero term."""
+    if mark in EDGE_MARKS:
+        return {i for key in _edge_tensor(alg, mark, False) for i in key}
+    return {i for (i,) in _leaf_tensor(alg, mark)}
+
+
+def live_vertex(alg, marks):
+    """Whether some entry of the vertex table fits a vertex whose germs
+    carry these marks (the table is graded-symmetric, so one order of the
+    germs serves): the fold over the germs' supports, stopped at its
+    first word; no table is built."""
+    marks = tuple(sorted(marks))
+
+    def first_word():
+        supports = [sorted(_support(alg, mark)) for mark in marks]
+        return next(_fold(alg, supports), None) is not None
+
+    return alg.memo(("live", marks), first_word)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +324,17 @@ def _sum_out(factor, var):
 
 
 def _build_factors(alg, graph, plan):
-    """The factor tables of the contraction and the product of their
-    denominators."""
+    """The factor tables of the contraction."""
     factors = []
-    denominator = 1
     for v in plan.vertex_order:
-        table, d = _vertex_tensor(alg, len(plan.germ_order[v]))
-        factors.append((tuple(plan.germ_order[v]), table))
-        denominator *= d
+        germs = tuple(plan.germ_order[v])
+        factors.append((germs, _vertex_tensor(alg, len(germs))))
     for k, (_, _, mark) in enumerate(graph.edges):
-        table, d = _edge_tensor(alg, mark, k in plan.sign_edges)
-        factors.append(((2 * k, 2 * k + 1), table))
-        denominator *= d
+        factors.append(((2 * k, 2 * k + 1),
+                        _edge_tensor(alg, mark, k in plan.sign_edges)))
     for j, (_, mark) in enumerate(graph.leaves):
         factors.append(((2 * graph.n_edges + j,), _leaf_tensor(alg, mark)))
-    return factors, denominator
+    return factors
 
 
 def _target_positions(graph, plan):
@@ -365,14 +371,16 @@ def _sign_factors(alg, graph, plan, factors):
 
 
 def evaluate_graph(alg, graph, plan=None):
-    """Value of a connected marked graph as a Poly in the couplings."""
+    """Value of a connected marked graph as a Poly in the couplings; a
+    plan given by the caller is validated first."""
     if not graph.is_connected():
         raise ValueError("evaluation is defined for connected graphs")
     if plan is None:
         plan = make_plan(graph)
-    validate_plan(graph, plan)
+    else:
+        validate_plan(graph, plan)
     nhe = graph.n_half_edges
-    factors, denominator = _build_factors(alg, graph, plan)
+    factors = _build_factors(alg, graph, plan)
     if not all(table for _, table in factors):
         # an empty table (a GG edge over an algebra with no 4-blocks)
         # makes every term zero
@@ -419,7 +427,7 @@ def evaluate_graph(alg, graph, plan=None):
             return Poly.zero()
         rest.append(summed)
         factors = rest
-    result = Fraction(1, denominator)
+    result = Fraction(1)
     for vars_, table in factors:
         result = result * table.get((), 0)
     return result if isinstance(result, Poly) else Poly.const(result)

@@ -110,6 +110,10 @@ class MarkedGraph:
     # -- global invariants --------------------------------------------------
 
     def is_connected(self):
+        # a connected graph has at least V - 1 edges; checking that first
+        # keeps a huge vertex count from building one list per vertex
+        if self.n_edges < self.n_vertices - 1:
+            return False
         seen = {0}
         stack = [0]
         adj = [[] for _ in range(self.n_vertices)]

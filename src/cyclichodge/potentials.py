@@ -42,12 +42,13 @@ three germs for good, and each germ's mark fixes the basis indices it
 can carry: a GG half-edge those on either leg of the GG edge table, an
 E<k> leaf those of H_0.  If no entry of the arity-3 vertex table fits
 them, every term of every graph grown from the child is zero.  The
-finished vertex 0 takes the same test at its arity.  The test folds
-products over the germs' supports only and stops at the first nonzero
-integral, so it builds no vertex table.  The rule keeps every nonzero
-class: such a class has no zero vertex, and its contraction path back to
-the rose passes only through graphs whose other vertices are vertices of
-the class.  Over an algebra with no 4-blocks the GG table is empty, so
+finished vertex 0 takes the same test at its arity.  The test is
+`contract.live_vertex`: the fold that builds the vertex tables, run over
+the germs' supports only and stopped at its first nonzero integral, so
+it builds no vertex table.  The rule keeps every nonzero class: such a
+class has no zero vertex, and its contraction path back to the rose
+passes only through graphs whose other vertices are vertices of the
+class.  Over an algebra with no 4-blocks the GG table is empty, so
 only a rose with no GG loop that needs no split is kept.
 """
 
@@ -59,8 +60,8 @@ from itertools import combinations
 from math import factorial
 
 from .algebra import AlgebraError, check_axioms
-from .contract import _edge_tensor, _leaf_tensor, evaluate_graph
-from .graphs import (EDGE_MARKS, MarkedGraph, is_valid_descendant_graph,
+from .contract import evaluate_graph, live_vertex
+from .graphs import (MarkedGraph, is_valid_descendant_graph,
                      is_valid_smooth_graph)
 from .poly import Poly
 
@@ -77,42 +78,6 @@ class WeightedGraphClass:
 
 # ---------------------------------------------------------------------------
 # class generation: split a one-vertex rose
-
-
-def _support(alg, mark):
-    """The basis indices a germ with this edge or leaf mark can carry in a
-    nonzero term."""
-    if mark in EDGE_MARKS:
-        table, _ = _edge_tensor(alg, mark, False)
-        return {i for key in table for i in key}
-    return {i for (i,) in _leaf_tensor(alg, mark)}
-
-
-def _live(alg, marks):
-    """Whether some entry of the vertex table fits a vertex whose germs
-    carry these marks (the table is graded-symmetric, so one order of the
-    germs serves).
-
-    The products are folded left to right over each germ's support only,
-    pruning zero partial products as the table's own fold does, and the
-    search stops at the first nonzero integral; no table is built.
-    """
-    marks = tuple(sorted(marks))
-
-    def fits(supports, vec):
-        if not supports:
-            if vec is None:
-                vec = alg.basis_vector(alg.unit)
-            return alg.integrate(vec) != 0
-        for i in supports[0]:
-            nv = alg.basis_vector(i) if vec is None \
-                else alg.multiply(vec, alg.basis_vector(i))
-            if nv and fits(supports[1:], nv):
-                return True
-        return False
-
-    return alg.memo(("live", marks), lambda: fits(
-        [sorted(_support(alg, mark)) for mark in marks], None))
 
 
 def _marks_at(graph, v):
@@ -147,7 +112,8 @@ def _split(graph, alg):
         if key in seen:
             continue
         seen.add(key)
-        if alg is not None and not _live(alg, ["GG", pair[0][3], pair[1][3]]):
+        if alg is not None and not live_vertex(
+                alg, ["GG", pair[0][3], pair[1][3]]):
             continue
         edges, leaves = tables = ([list(edge) for edge in graph.edges],
                                   [list(leaf) for leaf in graph.leaves])
@@ -175,7 +141,7 @@ def _classes(roses, valid, alg):
                      for child in _split(graph, alg))
         if alg is not None:
             layer = (graph for graph in layer
-                     if _live(alg, _marks_at(graph, 0)))
+                     if live_vertex(alg, _marks_at(graph, 0)))
         found.update(_dedup(layer))
     classes = []
     for key in sorted(found):

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from cyclichodge import potentials
+from cyclichodge.contract import live_vertex
 from cyclichodge.graphs import MarkedGraph
 from cyclichodge.potentials import enumerate_desc, enumerate_sm
 
@@ -30,7 +31,7 @@ def every_split(graph, alg):
               if leaf == (0, "E0")]
     for pair in combinations(germs, 2):
         marks = ["GG"] + [("GG", "E0")[table] for table, _, _ in pair]
-        if alg is not None and not potentials._live(alg, marks):
+        if alg is not None and not live_vertex(alg, marks):
             continue
         tables = ([list(edge) for edge in graph.edges],
                   [list(leaf) for leaf in graph.leaves])

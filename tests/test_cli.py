@@ -263,10 +263,17 @@ class TestBadInput:
         ("algebra", dict(DUAL2_OBJ, hodge={"H0": [True, 2], "blocks": []})),
         ("algebra", dict(TRIVIAL_OBJ, integral=[True])),
         ("algebra", dict(TRIVIAL_OBJ, product=[[1, 1, 1, True]])),
+        # no edges to join 10^12 vertices: rejected before any per-vertex
+        # structure is built
+        ("graph", {"vertices": 10**12, "edges": [], "leaves": []}),
+        # a short integral list for dim 10^4: rejected before any
+        # dim x dim table is built
+        ("algebra", dict(TRIVIAL_OBJ, dim=10**4, parity=[0] * 10**4)),
     ], ids=["null-index", "float-index", "int-mark", "bool-index",
             "edges-not-list", "bool-vertices", "H0-not-list",
             "blocks-not-list", "bool-dim", "bool-unit", "bool-parity",
-            "bool-H0-index", "bool-integral", "bool-product-coeff"])
+            "bool-H0-index", "bool-integral", "bool-product-coeff",
+            "huge-vertex-count", "huge-dim"])
     def test_one_line_error(self, tmp_path, graph_file, kind, obj):
         # malformed input of any shape: a single error line and exit 2,
         # never a traceback and never a silently accepted file

@@ -120,25 +120,24 @@ class TestPlans:
         with pytest.raises(ValueError):
             evaluate_graph(None, g)
 
-    def test_validate_rejects_bad_plans(self):
+    def test_validate_rejects_bad_plans(self, block6):
         g = MarkedGraph(2, [(0, 1, "GG"), (0, 1, "GG")])
         good = make_plan(g)
-        with pytest.raises(ValueError):
-            validate_plan(g, EvalPlan((0, 0), good.germ_order, good.sign_edges))
-        with pytest.raises(ValueError):
-            validate_plan(g, EvalPlan(good.vertex_order, ((0, 1), (2, 3)),
-                                      good.sign_edges))
-        # both edges twisted: no spanning tree
-        with pytest.raises(ValueError):
-            validate_plan(g, EvalPlan(good.vertex_order, good.germ_order,
-                                      frozenset({0, 1})))
-        # both untwisted: a cycle
-        with pytest.raises(ValueError):
-            validate_plan(g, EvalPlan(good.vertex_order, good.germ_order,
-                                      frozenset()))
-        with pytest.raises(ValueError):
-            validate_plan(g, EvalPlan(good.vertex_order, good.germ_order,
-                                      frozenset({5})))
+        bad = [
+            EvalPlan((0, 0), good.germ_order, good.sign_edges),
+            EvalPlan(good.vertex_order, ((0, 1), (2, 3)), good.sign_edges),
+            # both edges twisted: no spanning tree
+            EvalPlan(good.vertex_order, good.germ_order, frozenset({0, 1})),
+            # both untwisted: a cycle
+            EvalPlan(good.vertex_order, good.germ_order, frozenset()),
+            EvalPlan(good.vertex_order, good.germ_order, frozenset({5})),
+        ]
+        for plan in bad:
+            with pytest.raises(ValueError):
+                validate_plan(g, plan)
+            # evaluation checks a plan only when the caller supplies one
+            with pytest.raises(ValueError):
+                evaluate_graph(block6, g, plan)
 
     def test_germ_reorder_changes_nothing_even(self, dual2):
         g = MarkedGraph(1, [], [(0, "E0"), (0, "UNIT"), (0, "E1")])
@@ -151,8 +150,7 @@ class TestPlans:
 class TestFuzz:
     def test_plan_independence_and_oracle(self, trivial, dual2, exterior2,
                                           block6, block8, scaled2):
-        # scaled2 is the one algebra whose tensors have denominators, so
-        # it checks the integer scaling of the cached tables
+        # scaled2 is the one algebra whose tensors have denominators
         rng = random.Random(90125)
         for alg in (trivial, dual2, exterior2, block6, block8, scaled2):
             couplings = not any(alg.parity[i] for i in alg.h0)
@@ -202,7 +200,7 @@ class TestTensorCache:
         for _ in range(8):
             graph = random_connected_graph(rng, 2)
             # ID and PI0 are the only edge marks that do not vanish on
-            # dual2 and scaled2, whose tables carry the denominator 3
+            # dual2 and scaled2; scaled2's edge tables hold thirds
             plain = MarkedGraph(graph.n_vertices,
                                 [(u, v, rng.choice(("ID", "PI0")))
                                  for u, v, _ in graph.edges], graph.leaves)
@@ -283,7 +281,7 @@ def inverted_pairs(graph, plan):
 
 
 def sign_factors(alg, graph, plan):
-    factors, _ = _build_factors(alg, graph, plan)
+    factors = _build_factors(alg, graph, plan)
     return _sign_factors(alg, graph, plan, factors)
 
 

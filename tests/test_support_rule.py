@@ -3,16 +3,20 @@ it keeps the nonzero GG classes.
 
 Dropped graphs are evaluated by `oracle_evaluate` where they have at most
 nine half-edges and by `evaluate_graph` elsewhere, over the oracle grid
-g <= 2, n <= 4, L <= 4 of `tests/test_class_weights.py`.
+g <= 2, n <= 4, L <= 4 of `tests/test_class_weights.py`.  The rule's
+test and the vertex tables come from one fold, checked against the full
+tables and against `integrate_basis_word`.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from cyclichodge import potentials
+from cyclichodge import contract, potentials
 from cyclichodge.builtin import load_builtin
-from cyclichodge.contract import evaluate_graph, oracle_evaluate
+from cyclichodge.contract import (bivector, evaluate_graph, leaf_vector,
+                                  live_vertex, mark_matrix, oracle_evaluate)
 from cyclichodge.poly import Poly
 from cyclichodge.potentials import PotentialTable, enumerate_desc, enumerate_sm
 from cyclichodge.relations import run_battery
@@ -104,3 +108,36 @@ def test_rule_builds_no_vertex_table():
     assert all(r.ok for r in run_battery(alg, 2, 2, table=Recording(alg)))
     built = {key[1] for key in alg._memo if key[:1] == ("vertex",)}
     assert built and built <= arities, (built, arities)
+
+
+@pytest.mark.parametrize("name", ["block6", "dual2", "live8"])
+def test_one_fold_builds_tables_and_rule(request, name):
+    # the support rule and the vertex tables share one fold: the rule
+    # must answer as the full table does, and the table must hold exactly
+    # the words that integrate_basis_word, the oracle's fold, finds
+    alg = request.getfixturevalue(name)
+    marks = ("GG", "E0", "E1", "IDLOOP")
+    support = {m: {i for key in bivector(alg, mark_matrix(alg, m), False)
+                   for i in key} for m in ("GG", "IDLOOP")}
+    support.update((m, set(leaf_vector(alg, m))) for m in ("E0", "E1"))
+    answers = set()
+    for arity in range(6):
+        table = contract._vertex_table(alg, arity)
+        assert all(len(key) == arity for key in table)
+        if arity <= 4:
+            for key, value in table.items():
+                assert value == alg.integrate_basis_word(key), key
+        if arity <= 3:
+            for word in product(range(alg.dim), repeat=arity):
+                if word not in table:
+                    assert alg.integrate_basis_word(word) == 0, word
+        # only which marks can sit at each slot of a key matters
+        patterns = {tuple(sorted(tuple(m for m in marks if i in support[m])
+                                 for i in key)) for key in table}
+        for germs in combinations_with_replacement(marks, arity):
+            fits = any(all(m in slot for m, slot in zip(order, pattern))
+                       for pattern in patterns
+                       for order in set(permutations(germs)))
+            assert live_vertex(alg, germs) == fits, germs
+            answers.add(fits)
+    assert answers == {True, False}
