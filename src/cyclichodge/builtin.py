@@ -16,6 +16,16 @@ block8     exterior algebra on two odd generators tensored with
            Q[x]/(x^2), carrying Q(theta1) = x and G_-(theta1) =
            theta1 theta2.  All axioms hold, H_4 is one block, but H_0
            contains odd vectors, so potential assembly refuses it.
+live8      block6 plus even H_0 vectors e7, e8 with e7 e7 = e4,
+           e7 e5 = e5 e7 = e8 and e7 e8 = e8 e7 = e2: a vertex with one
+           GG germ and two E0 leaves can be nonzero, so the genus-0
+           GG tree enters the potentials.
+loop8      block6 plus even H_0 vectors e7, e8 with e5 e5 = e7,
+           e5 e8 = e8 e5 = e4 and e7 e8 = e8 e7 = e2; its GG cycles are
+           nonzero at genus 1 (the one-vertex loop, the double edge,
+           the three-cycle).
+cubic6     block6 plus e5 e5 = e4, so (G_-e)^3 = t, a cubic; its GG
+           classes are nonzero at genus 2 (the dumbbell and the theta).
 """
 
 from __future__ import annotations
@@ -25,7 +35,8 @@ from importlib import resources
 
 from .algebra import parse_algebra
 
-BUILTIN_NAMES = ("trivial", "dual2", "exterior2", "block6", "block8")
+BUILTIN_NAMES = ("trivial", "dual2", "exterior2", "block6", "block8",
+                 "live8", "loop8", "cubic6")
 
 
 def load_builtin(name):

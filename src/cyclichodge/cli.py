@@ -8,7 +8,7 @@ trivial-algebra pipeline against the closed-form coefficients), axioms
 
 Where a command takes --algebra, the value may be a JSON file path or
 the name of a shipped algebra (trivial, dual2, exterior2, block6,
-block8).
+block8, live8, loop8, cubic6).
 """
 
 from __future__ import annotations

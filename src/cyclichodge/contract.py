@@ -17,8 +17,9 @@ the result does not depend on the choice.
 
 `evaluate_graph` eliminates half-edge variables one at a time over
 sparse factor tables, greedily taking the variable whose merged factor
-is cheapest, and returns zero as soon as a factor, built or summed out,
-is empty.  It carries the Koszul sign as one flip factor over parity bits
+is cheapest (one pass over the factors per step gives every variable's
+scope), and returns zero as soon as a factor, built or summed out, is
+empty.  It carries the Koszul sign as one flip factor over parity bits
 per inverted half-edge pair, built only where both half-edges can carry
 an odd index (some key of their edge or leaf factors puts one there); a
 half-edge that can only be even flips nothing.
@@ -45,7 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .algebra import derive_ops
@@ -78,16 +81,18 @@ def make_plan(graph):
     seen = {0}
     order = [0]
     tree = set()
-
-    def dfs(u):
-        for (k, w) in sorted(incident[u]):
+    # per vertex on the current path, the rest of its sorted incidences
+    stack = [iter(sorted(incident[0]))]
+    while stack:
+        for (k, w) in stack[-1]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
                 tree.add(k)
-                dfs(w)
-
-    dfs(0)
+                stack.append(iter(sorted(incident[w])))
+                break
+        else:
+            stack.pop()
     return EvalPlan(
         vertex_order=tuple(order),
         germ_order=graph.germs(),
@@ -207,22 +212,32 @@ def leaf_vector(alg, mark):
     return {i: Fraction(1)}
 
 
-def _fold(alg, supports, vec=None, key=()):
+def _fold(alg, supports):
     """Yield (key, integral(e_key[0] * .. * e_key[-1])) for each key with
-    key[s] in supports[s] and a nonzero integral, multiplying left to
-    right and dropping zero partial products; vec is the product so far
-    of the indices in key."""
-    if not supports:
-        value = alg.integrate(alg.basis_vector(alg.unit) if vec is None
-                              else vec)
-        if value:
-            yield key, value
-        return
-    for i in supports[0]:
-        nv = alg.basis_vector(i) if vec is None \
-            else alg.multiply(vec, alg.basis_vector(i))
-        if nv:
-            yield from _fold(alg, supports[1:], nv, key + (i,))
+    key[s] in supports[s] and a nonzero integral, in the order of the
+    supports, multiplying left to right and dropping zero partial
+    products."""
+
+    def extensions(key, vec):
+        for i in supports[len(key)]:
+            nv = alg.basis_vector(i) if vec is None \
+                else alg.multiply(vec, alg.basis_vector(i))
+            if nv:
+                yield key + (i,), nv
+
+    # depth first over partial keys, one generator of extensions per slot
+    stack = [iter([((), None)])]
+    while stack:
+        for key, vec in stack[-1]:
+            if len(key) < len(supports):
+                stack.append(extensions(key, vec))
+                break
+            value = alg.integrate(alg.basis_vector(alg.unit) if vec is None
+                                  else vec)
+            if value:
+                yield key, value
+        else:
+            stack.pop()
 
 
 def _vertex_table(alg, arity):
@@ -301,11 +316,8 @@ def _join(f1, f2):
     for key1, val1 in t1.items():
         for key2, val2 in index2.get(key1_shared(key1), ()):
             key = gather(key1 + key2)
-            prod = val1 * val2
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
+            term = val1 * val2
+            out[key] = out[key] + term if key in out else term
     return (out_vars, {k: v for k, v in out.items() if v})
 
 
@@ -316,10 +328,7 @@ def _sum_out(factor, var):
     out = {}
     for key, val in table.items():
         k = key[:pos] + key[pos + 1:]
-        if k in out:
-            out[k] = out[k] + val
-        else:
-            out[k] = val
+        out[k] = out[k] + val if k in out else val
     return (out_vars, {k: v for k, v in out.items() if v})
 
 
@@ -385,7 +394,6 @@ def evaluate_graph(alg, graph, plan=None):
         # an empty table (a GG edge over an algebra with no 4-blocks)
         # makes every term zero
         return Poly.zero()
-    domain = {h: alg.dim for h in range(nhe)}
     # Koszul signs through parity bits: each flip factor acts on the bit
     # variables nhe + h of two half-edges that can both carry an odd
     # index, and each bit in play is tied to the parity of its
@@ -398,38 +406,28 @@ def evaluate_graph(alg, graph, plan=None):
         tie = {(i, p): 1 for i, p in enumerate(alg.parity)}
         for b in sorted({b for vars_, _ in signs for b in vars_}):
             factors.append(((b - nhe, b), tie))
-            domain[b] = 2
-    remaining = set(domain)
-    while remaining:
-        # greedy: eliminate the variable whose merged factor is cheapest
-        best, best_cost = None, None
-        for v in remaining:
-            scope = set()
-            for vars_, _ in factors:
-                if v in vars_:
-                    scope.update(vars_)
-            scope.discard(v)
-            cost = 1
-            for w in scope:
-                cost *= domain[w]
-            if best_cost is None or cost < best_cost or \
-                    (cost == best_cost and v < best):
-                best, best_cost = v, cost
-        remaining.discard(best)
+    while True:
+        # greedy: eliminate the variable whose merged factor is cheapest,
+        # the least one on a tie; one pass over the factors collects
+        # every variable's scope
+        scopes = {}
+        for vars_, _ in factors:
+            for v in vars_:
+                scopes.setdefault(v, set()).update(vars_)
+        if not scopes:
+            break
+        best = min(scopes, key=lambda v: (
+            prod(alg.dim if w < nhe else 2 for w in scopes[v] if w != v), v))
         involved = [f for f in factors if best in f[0]]
         rest = [f for f in factors if best not in f[0]]
-        merged = involved[0]
-        for f in involved[1:]:
-            merged = _join(merged, f)
-        summed = _sum_out(merged, best)
+        summed = _sum_out(reduce(_join, involved), best)
         if not summed[1]:
             # one factor is zero everywhere, so is the contraction
             return Poly.zero()
         rest.append(summed)
         factors = rest
-    result = Fraction(1)
-    for vars_, table in factors:
-        result = result * table.get((), 0)
+    result = prod((table.get((), 0) for _, table in factors),
+                  start=Fraction(1))
     return result if isinstance(result, Poly) else Poly.const(result)
 
 

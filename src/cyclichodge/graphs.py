@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
 EDGE_MARKS = ("GG", "IDLOOP", "ID", "PI0", "QGP", "GPQ", "GP", "GM")
@@ -207,8 +207,7 @@ class MarkedGraph:
         classes = self._refined_classes(leaf_marks, loop_marks, adjacent)
         best, reaching = None, []
         newid = [0] * V
-        for combo in product(*(permutations(c) for c in classes)):
-            order = [v for cls in combo for v in cls]
+        for order in _orderings(classes):
             for i, v in enumerate(order):
                 newid[v] = i
             encoding = (V, tuple((leaf_marks[v],) for v in order),
@@ -313,6 +312,26 @@ class MarkedGraph:
 
     def __hash__(self):
         return hash((self.n_vertices, self.edges, self.leaves))
+
+
+def _orderings(cells):
+    """Each ordering of the vertices that orders every cell and keeps the
+    cells in sequence, in the order product(*map(permutations, cells))
+    gives, built one at a time: product would first hold all k!
+    orderings of a k-vertex cell."""
+    last = len(cells) - 1
+    # one entry per cell begun: the rest of its orderings and the
+    # ordering of the cells before it
+    stack = [(permutations(cells[0]), ())]
+    while stack:
+        perms, head = stack[-1]
+        for perm in perms:
+            if len(stack) <= last:
+                stack.append((permutations(cells[len(stack)]), head + perm))
+                break
+            yield head + perm
+        else:
+            stack.pop()
 
 
 def _is_entry(ent, width):

@@ -1,10 +1,9 @@
-"""Shared fixtures: the builtin algebras, hand-built variants (scaled2,
-and live8, on which a GG class is nonzero), a perturbed potential
-table, and a random-graph generator for fuzz comparisons."""
+"""Shared fixtures: the builtin algebras (live8, loop8 and cubic6 are
+those on which a GG class is nonzero), the hand-built variant scaled2, a
+perturbed potential table, and a random-graph generator for fuzz
+comparisons."""
 
-import json
 import random
-from importlib import resources
 
 import pytest
 
@@ -62,29 +61,22 @@ def scaled2():
     return parse_algebra(SCALED2_OBJ, name="scaled2")
 
 
-BLOCK6_OBJ = json.loads(
-    resources.files("cyclichodge.data").joinpath("block6.json").read_text())
-
-# block6 plus two even H_0 vectors a = e7, b = e8 with a.a = Qe (e4),
-# a.G_-e = b and a.b = t (e2): integral(a a G_-e) = integral(Qe G_-e) = 1,
-# so a vertex with one GG germ beside two E0 leaves can be nonzero
-LIVE8_OBJ = dict(
-    BLOCK6_OBJ, name="live8", dim=8,
-    parity=BLOCK6_OBJ["parity"] + [0, 0],
-    product=BLOCK6_OBJ["product"] + [
-        [1, 7, 7, "1"], [7, 1, 7, "1"], [1, 8, 8, "1"], [8, 1, 8, "1"],
-        [7, 7, 4, "1"], [7, 5, 8, "1"], [5, 7, 8, "1"],
-        [7, 8, 2, "1"], [8, 7, 2, "1"],
-    ],
-    integral=BLOCK6_OBJ["integral"] + ["0", "0"],
-    hodge={"H0": [1, 2, 7, 8], "blocks": BLOCK6_OBJ["hodge"]["blocks"]},
-)
+@pytest.fixture(scope="session")
+def live8():
+    """block6 with a nonzero genus-0 GG tree."""
+    return load_builtin("live8")
 
 
 @pytest.fixture(scope="session")
-def live8():
-    """The smallest algebra here on which a GG class is nonzero."""
-    return parse_algebra(LIVE8_OBJ, name="live8")
+def loop8():
+    """block6 with nonzero genus-1 GG cycles."""
+    return load_builtin("loop8")
+
+
+@pytest.fixture(scope="session")
+def cubic6():
+    """block6 with nonzero genus-2 GG classes."""
+    return load_builtin("cubic6")
 
 
 class PerturbedTable(PotentialTable):

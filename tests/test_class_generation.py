@@ -45,7 +45,7 @@ def class_lists(alg):
             for g, n, L in GRID]
 
 
-@pytest.mark.parametrize("name", [None, "live8"])
+@pytest.mark.parametrize("name", [None, "live8", "loop8", "cubic6"])
 def test_orbit_splits_keep_every_class(request, monkeypatch, name):
     alg = None if name is None else request.getfixturevalue(name)
     orbit = class_lists(alg)

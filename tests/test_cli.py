@@ -68,6 +68,27 @@ class TestEval:
         assert out.strip() == "2*T_{1,1}"
 
 
+    @pytest.mark.parametrize("graph", [
+        pytest.param({"vertices": 300,
+                      "edges": [[v, v + 1, "ID"] for v in range(1, 300)],
+                      "leaves": [[1, "UNIT"], [300, "UNIT"]]}, id="path"),
+        pytest.param({"vertices": 1, "edges": [],
+                      "leaves": [[1, "UNIT"]] * 300}, id="star")])
+    def test_no_recursion(self, tmp_path, graph):
+        # the plan's walk, the vertex-table fold and the elimination keep
+        # their own stacks: a recursion limit far below the graph's size
+        # must not end evaluation in a RecursionError
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(graph))
+        code = ("import sys; sys.setrecursionlimit(150); "
+                "import cyclichodge.cli as cli; "
+                f"sys.exit(cli.main(['eval', '--algebra', 'trivial', "
+                f"'--graph', {str(path)!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
 class TestPotential:
     def test_text(self, monkeypatch, capsys):
         rc = cli.main(["potential", "--algebra", "trivial", "--genus", "0",

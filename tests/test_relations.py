@@ -1,10 +1,12 @@
 """Identity battery: clean passes, perturbed potentials, report shapes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cyclichodge.poly import Poly, parse_rational
+from cyclichodge.potentials import PotentialTable
 from cyclichodge.relations import (
     MAX_LEAF_BUDGET, BudgetError, RELATIONS, check_const_relation,
     check_dilaton, check_string, check_trr0, check_trr1, check_trr2,
@@ -113,6 +115,45 @@ class TestInjectedFailures:
     def test_clean_rerun_still_green(self, dual2):
         # perturbed tables never leak into fresh ones
         assert check_wdvv(dual2, 0).ok
+
+
+class DoubledClass(PotentialTable):
+    """A potential table in which the one class of the (g, n, ell) piece
+    whose graph has these edges counts twice."""
+
+    def __init__(self, alg, key, edges):
+        super().__init__(alg)
+        self.key, self.edges = key, edges
+
+    def classes(self, g, n, ell):
+        out = super().classes(g, n, ell)
+        if (g, n, ell) != self.key:
+            return out
+        assert [cls.graph.edges for cls in out].count(self.edges) == 1
+        return [replace(cls, weight=2 * cls.weight)
+                if cls.graph.edges == self.edges else cls for cls in out]
+
+
+class TestGGClassMutations:
+    """On loop8 and cubic6 a nonzero GG cycle enters the potentials, so
+    the battery must notice one such class counted twice.  Doubling every
+    GG cycle of loop8 at once passes: the cycle sum alone solves the
+    homogeneous part of the genus-1 relations, which are linear in F_1."""
+
+    @pytest.mark.parametrize("name,key,edges,failing", [
+        pytest.param("loop8", (1, 0, 1), ((0, 0, "GG"),), [
+            ("string", {"genus": 1, "max_level": 4}),
+            ("dilaton", {"genus": 1}), ("trr1", {"n": 0}),
+            ("trr1", {"n": 1})], id="loop8-one-vertex-loop"),
+        pytest.param("cubic6", (2, 0, 0), ((0, 1, "GG"),) * 3,
+                     [("dilaton", {"genus": 2})], id="cubic6-theta")])
+    def test_one_doubled_class_fails(self, request, name, key, edges,
+                                     failing):
+        alg = request.getfixturevalue(name)
+        assert all(r.ok for r in run_battery(alg, 2, 2))
+        results = run_battery(alg, 2, 2, table=DoubledClass(alg, key, edges))
+        assert [(r.relation, r.params) for r in results if not r.ok] \
+            == failing
 
 
 class TestDispatchAndGuards:

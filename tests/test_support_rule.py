@@ -1,5 +1,6 @@
 """The support rule of class generation: it drops only zero graphs, and
-it keeps the nonzero GG classes.
+it keeps the nonzero GG classes, on which the engine agrees with the
+oracle.
 
 Dropped graphs are evaluated by `oracle_evaluate` where they have at most
 nine half-edges and by `evaluate_graph` elsewhere, over the oracle grid
@@ -40,7 +41,9 @@ def classes(g, n, L, alg=None):
 @pytest.mark.parametrize("name,dropped_children", [
     pytest.param("block6", 3219, id="block6"),
     pytest.param("dual2", 3219, id="dual2"),
-    pytest.param("live8", 2795, id="live8")])
+    pytest.param("live8", 2795, id="live8"),
+    pytest.param("loop8", 2092, id="loop8"),
+    pytest.param("cubic6", 1551, id="cubic6")])
 def test_dropped_graphs_are_zero(request, monkeypatch, name,
                                  dropped_children):
     alg = request.getfixturevalue(name)
@@ -82,6 +85,28 @@ def test_dropped_graphs_are_zero(request, monkeypatch, name,
     assert kept and nonzero
 
 
+@pytest.mark.parametrize("name,nonzero", [
+    pytest.param("live8", 2, id="live8"),
+    pytest.param("loop8", 11, id="loop8"),
+    pytest.param("cubic6", 10, id="cubic6")])
+def test_engine_matches_oracle_on_gg_classes(request, name, nonzero):
+    # the kept classes with a GG edge and at most ten half-edges, over
+    # the grid: live8's nonzero ones are trees, loop8's and cubic6's
+    # carry a GG cycle
+    alg = request.getfixturevalue(name)
+    found = 0
+    for g, n, L in GRID:
+        for cls in classes(g, n, L, alg):
+            graph = cls.graph
+            if graph.n_half_edges > 10 or all(
+                    mark != "GG" for _, _, mark in graph.edges):
+                continue
+            ref = oracle_evaluate(alg, graph)
+            assert evaluate_graph(alg, graph) == ref, graph
+            found += not ref.is_zero()
+    assert found == nonzero
+
+
 def test_live8_keeps_its_gg_tree(live8):
     table = PotentialTable(live8)
     T01, T02, T03, T04 = (Poly.var(0, i) for i in range(1, 5))
@@ -110,7 +135,8 @@ def test_rule_builds_no_vertex_table():
     assert built and built <= arities, (built, arities)
 
 
-@pytest.mark.parametrize("name", ["block6", "dual2", "live8"])
+@pytest.mark.parametrize("name",
+                         ["block6", "dual2", "live8", "loop8", "cubic6"])
 def test_one_fold_builds_tables_and_rule(request, name):
     # the support rule and the vertex tables share one fold: the rule
     # must answer as the full table does, and the table must hold exactly
