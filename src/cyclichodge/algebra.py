@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .graded import (EVEN, ODD, SingularMatrixError, identity_matrix,
+from .graded import (EVEN, ODD, SingularMatrixError, exact, identity_matrix,
                      mat_add, mat_apply, mat_inverse, mat_mul, mat_sub,
                      supertrace)
 from .poly import format_rational, parse_rational
@@ -68,11 +68,11 @@ class DegeneracyError(AlgebraError):
 
 @dataclass(frozen=True)
 class CHAlgebra:
-    """Immutable algebra data.  All indices are 0-based internally.
+    """Immutable algebra data.  All indices are 0-based internally, and
+    every value is int-first (see `graded`).
 
     product[i][j] lists the nonzero terms (k, c) of e_i * e_j = sum c e_k,
-    ascending in k, with whole coefficients c kept as ints (they multiply
-    faster than Fractions);
+    ascending in k;
     q[i][j] (resp. gminus[i][j]) is the coefficient of e_i in the image
     of e_j; integral[i] is the integral of e_i.  h0 lists the basis
     indices spanning H_0 and blocks the 4-tuples (e, Qe, G-e, QG-e).
@@ -119,10 +119,8 @@ class CHAlgebra:
         return {k: c for k, c in out.items() if c}
 
     def integrate(self, u):
-        total = Fraction(0)
-        for i, c in u.items():
-            total += c * self.integral[i]
-        return total
+        integral = self.integral
+        return exact(sum(c * integral[i] for i, c in u.items()))
 
     def integrate_basis_word(self, word):
         """Integral of e_{i1} * ... * e_{in}, multiplied left to right."""
@@ -132,7 +130,7 @@ class CHAlgebra:
         for i in word[1:]:
             vec = self.multiply(vec, self.basis_vector(i))
             if not vec:
-                return Fraction(0)
+                return 0
         return self.integrate(vec)
 
     def gram(self):
@@ -221,13 +219,13 @@ def parse_algebra(obj, name=""):
                 raise FormatError(f"duplicate {what} entry for "
                                   f"({','.join(map(str, ent[:width]))})")
             try:
-                rows[key] = parse_rational(ent[width])
+                rows[key] = exact(parse_rational(ent[width]))
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
         return rows
 
     def matrix(rows):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        mat = [[0] * dim for _ in range(dim)]
         for (i, j), c in rows.items():
             mat[i][j] = c
         return tuple(tuple(row) for row in mat)
@@ -239,7 +237,7 @@ def parse_algebra(obj, name=""):
     if not isinstance(integral, list) or len(integral) != dim:
         raise FormatError("integral must be a list of dim rationals")
     try:
-        integ = tuple(parse_rational(c) for c in integral)
+        integ = tuple(exact(parse_rational(c)) for c in integral)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -260,7 +258,7 @@ def parse_algebra(obj, name=""):
     terms = [[[] for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), c in sorted(products.items()):
         if c:
-            terms[i][j].append((k, int(c) if c.denominator == 1 else c))
+            terms[i][j].append((k, c))
     return CHAlgebra(
         dim=dim,
         parity=tuple(parity),
@@ -302,10 +300,10 @@ class DerivedOps:
     def __init__(self, alg):
         self.parity = alg.parity
         dim = alg.dim
-        gp = [[Fraction(0)] * dim for _ in range(dim)]
+        gp = [[0] * dim for _ in range(dim)]
         for (a, b, c, d) in alg.blocks:
-            gp[a][b] = Fraction(1)
-            gp[c][d] = Fraction(1)
+            gp[a][b] = 1
+            gp[c][d] = 1
         self.gplus = tuple(tuple(row) for row in gp)
         self.pi4 = mat_add(mat_mul(alg.q, self.gplus), mat_mul(self.gplus, alg.q))
         self.pi0 = mat_sub(identity_matrix(dim), self.pi4)
@@ -420,20 +418,28 @@ def check_axioms(alg):
             return False
         return True
 
+    # the products of at most two basis vectors that the checks over
+    # pairs and triples share, made once per battery: e_i e_j, and for
+    # the seven-term relation G(e_i e_j), G(e_i) e_j, e_i G(e_j), G(e_i)
+    g_basis = [G(e(i)) for i in basis]
+    ab = [[mul(e(i), e(j)) for j in basis] for i in basis]
+    g_ab = [[G(v) for v in row] for row in ab]
+    ga_b = [[mul(g_basis[i], e(j)) for j in basis] for i in basis]
+    a_gb = [[mul(e(i), g_basis[j]) for j in basis] for i in basis]
+
     def seven_term_defect(i, j, k):
-        a, b, c, ab = e(i), e(j), e(k), mul(e(i), e(j))
+        a, b, c = e(i), e(j), e(k)
         sa = (-1) ** par[i]
         return combo(
-            (1, G(mul(ab, c))), (-1, mul(G(ab), c)),
-            (-(-1) ** (par[j] * (par[i] + 1)), mul(b, G(mul(a, c)))),
-            (-sa, mul(a, G(mul(b, c)))), (1, mul(mul(G(a), b), c)),
-            (sa, mul(mul(a, G(b)), c)),
-            ((-1) ** (par[i] + par[j]), mul(ab, G(c))))
+            (1, G(mul(ab[i][j], c))), (-1, mul(g_ab[i][j], c)),
+            (-(-1) ** (par[j] * (par[i] + 1)), mul(b, g_ab[i][k])),
+            (-sa, mul(a, g_ab[j][k])), (1, mul(ga_b[i][j], c)),
+            (sa, mul(a_gb[i][j], c)),
+            ((-1) ** (par[i] + par[j]), mul(ab[i][j], g_basis[k])))
 
     def supertrace_of(f):
         """Supertrace of the linear map f, read off basis vectors."""
-        return sum(((-1) ** par[j] * f(e(j)).get(j, 0) for j in basis),
-                   Fraction(0))
+        return sum((-1) ** par[j] * f(e(j)).get(j, 0) for j in basis)
 
     def adjoint(op, label, flip):
         # int(op(a) b) = (-1)^(p_a + flip) int(a op(b))
@@ -458,11 +464,10 @@ def check_axioms(alg):
         ("supercommutativity", (
             ((i, j), "e_i e_j != (-1)^(pi pj) e_j e_i")
             for i, j in pairs if i <= j
-            and combo((1, mul(e(i), e(j))),
-                      (-(-1) ** (par[i] * par[j]), mul(e(j), e(i)))))),
+            and combo((1, ab[i][j]),
+                      (-(-1) ** (par[i] * par[j]), ab[j][i])))),
         ("associativity", (((i, j, k), "(ab)c != a(bc)") for i, j, k in triples
-                           if mul(mul(e(i), e(j)), e(k))
-                           != mul(e(i), mul(e(j), e(k))))),
+                           if mul(ab[i][j], e(k)) != mul(e(i), ab[j][k]))),
         ("integral-parity", (((i,), "integral of an odd vector must vanish")
                              for i in basis
                              if par[i] == ODD and alg.integral[i])),
@@ -489,7 +494,7 @@ def check_axioms(alg):
             if op(e(x)) != e(y))),
         ("q-leibniz", (((i, j), "Q(ab) != Q(a)b + (-1)^pa a Q(b)")
                        for i, j in pairs
-                       if combo((1, Q(mul(e(i), e(j)))),
+                       if combo((1, Q(ab[i][j])),
                                 (-1, mul(Q(e(i)), e(j))),
                                 (-(-1) ** par[i], mul(e(i), Q(e(j))))))),
         ("gminus-seven-term", (((i, j, k), "seven-term relation fails")
@@ -500,7 +505,8 @@ def check_axioms(alg):
                    f"(1/12) str(G_-(a)*) = {format_rational(rhs)}")
             for i in basis
             for lhs, rhs in [(supertrace_of(lambda x: G(mul(e(i), x))),
-                              supertrace_of(partial(mul, G(e(i)))) / 12)]
+                              Fraction(supertrace_of(partial(mul, G(e(i)))),
+                                       12))]
             if lhs != rhs)),
         ("q-integral-adjoint", adjoint(Q, "Q", 1)),
         ("gminus-integral-adjoint", adjoint(G, "G_-", 0)),

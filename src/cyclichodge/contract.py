@@ -17,22 +17,23 @@ the result does not depend on the choice.
 
 `evaluate_graph` eliminates half-edge variables one at a time over
 sparse factor tables, greedily taking the variable whose merged factor
-is cheapest (one pass over the factors per step gives every variable's
-scope), and returns zero as soon as a factor, built or summed out, is
-empty.  It carries the Koszul sign as one flip factor over parity bits
-per inverted half-edge pair, built only where both half-edges can carry
-an odd index (some key of their edge or leaf factors puts one there); a
-half-edge that can only be even flips nothing.
+is cheapest (`_cheapest` walks each factor once per step), and returns
+zero as soon as a factor, built or summed out, is empty.  It carries the
+Koszul sign as one flip factor over parity bits per inverted half-edge
+pair, built only where both half-edges can carry an odd index (some key
+of their edge or leaf factors puts one there); a half-edge that can only
+be even flips nothing.
 
 Its constant tensors are built on first use and kept with the algebra
-object (`CHAlgebra.memo`), each holding its exact values: one bivector
-table per (edge mark, twist), one vertex table per arity and one leaf
-table per leaf mark.  One fold builds every vertex table: it multiplies
-basis vectors left to right over a list of allowed indices per slot,
-drops zero partial products and yields each word with a nonzero
-integral.  Over every index it gives the vertex table; over the indices
-that germs' edge and leaf tables allow it is the support rule of class
-generation (`live_vertex`), which stops at the first word it finds.
+object (`CHAlgebra.memo`), each holding its exact values, int-first (see
+`graded`): one bivector table per (edge mark, twist), one vertex table
+per arity and one leaf table per leaf mark.  One fold builds every
+vertex table: it multiplies basis vectors left to right over a list of
+allowed indices per slot, drops zero partial products and yields each
+word with a nonzero integral.  Over every index it gives the vertex
+table; over the indices that germs' edge and leaf tables allow it is the
+support rule of class generation (`live_vertex`), which stops at the
+first word it finds.
 
 `oracle_evaluate` recomputes the same value by brute enumeration of all
 nonzero edge/leaf terms with signs from an explicit bubble sort.  It
@@ -203,13 +204,13 @@ def leaf_vector(alg, mark):
                              "odd couplings would not commute")
         return {idx: Poly.var(lvl, s + 1) for s, idx in enumerate(alg.h0)}
     if mark == "UNIT":
-        return {alg.unit: Fraction(1)}
+        return {alg.unit: 1}
     i = leaf_basis_index(mark)
     if i is None:
         raise ValueError(f"unknown leaf mark {mark!r}")
     if i >= alg.dim:
         raise ValueError(f"leaf {mark} out of range for dimension {alg.dim}")
-    return {i: Fraction(1)}
+    return {i: 1}
 
 
 def _fold(alg, supports):
@@ -332,6 +333,46 @@ def _sum_out(factor, var):
     return (out_vars, {k: v for k, v in out.items() if v})
 
 
+def _cheapest(factors, dim, nhe):
+    """The variable whose merged factor has the fewest cells, the least
+    one on a tie, or None when no factor has a variable left; a
+    half-edge variable ranges over dim values, a parity bit (>= nhe)
+    over 2.
+
+    A variable's scope is its widest factor plus the variables of its
+    other factors outside that one.  Walking the factors widest first,
+    each variable meets its widest factor first, so one pass finds it,
+    and the set of a wide factor's variables is built at most once per
+    step rather than once for each of its variables."""
+    order = sorted((vars_ for vars_, _ in factors), key=len, reverse=True)
+    widest, extra = {}, {}
+    for n, vars_ in enumerate(order):
+        for v in vars_:
+            if v in widest:
+                extra.setdefault(v, set()).update(vars_)
+            else:
+                widest[v] = n
+    if not widest:
+        return None
+
+    def cells(variables):
+        bits = sum(w >= nhe for w in variables)
+        return dim ** (len(variables) - bits) * 2 ** bits
+
+    wide = {}
+
+    def cost(v):
+        n = widest[v]
+        if n not in wide:
+            wide[n] = cells(order[n]), set(order[n])
+        total, inside = wide[n]
+        total //= dim if v < nhe else 2
+        outside = extra[v] - inside if v in extra else None
+        return total * cells(outside) if outside else total
+
+    return min(widest, key=lambda v: (cost(v), v))
+
+
 def _build_factors(alg, graph, plan):
     """The factor tables of the contraction."""
     factors = []
@@ -408,16 +449,10 @@ def evaluate_graph(alg, graph, plan=None):
             factors.append(((b - nhe, b), tie))
     while True:
         # greedy: eliminate the variable whose merged factor is cheapest,
-        # the least one on a tie; one pass over the factors collects
-        # every variable's scope
-        scopes = {}
-        for vars_, _ in factors:
-            for v in vars_:
-                scopes.setdefault(v, set()).update(vars_)
-        if not scopes:
+        # the least one on a tie
+        best = _cheapest(factors, alg.dim, nhe)
+        if best is None:
             break
-        best = min(scopes, key=lambda v: (
-            prod(alg.dim if w < nhe else 2 for w in scopes[v] if w != v), v))
         involved = [f for f in factors if best in f[0]]
         rest = [f for f in factors if best not in f[0]]
         summed = _sum_out(reduce(_join, involved), best)
@@ -426,8 +461,7 @@ def evaluate_graph(alg, graph, plan=None):
             return Poly.zero()
         rest.append(summed)
         factors = rest
-    result = prod((table.get((), 0) for _, table in factors),
-                  start=Fraction(1))
+    result = prod(table.get((), 0) for _, table in factors)
     return result if isinstance(result, Poly) else Poly.const(result)
 
 

@@ -1,8 +1,12 @@
 """Z2-graded linear algebra over exact rationals.
 
 Everything is indexed by a fixed basis 0..dim-1, each index carrying a
-parity (0 = even, 1 = odd).  Scalars are `fractions.Fraction` throughout;
-no floating point enters anywhere in this package.
+parity (0 = even, 1 = odd).  Scalars are exact and int-first: a whole
+value is an `int` (ints multiply faster than Fractions) and every other
+value a `fractions.Fraction`.  Sums start at 0, `exact` turns a whole
+Fraction result back into an int, and every true division goes through
+`Fraction` explicitly, since `/` on two ints would give a float; no
+floating point enters anywhere in this package.
 """
 
 from __future__ import annotations
@@ -17,36 +21,41 @@ class SingularMatrixError(ValueError):
     """Raised when an exact inverse is requested of a singular matrix."""
 
 
+def exact(x):
+    """x as an int when it is whole, else unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 # ---------------------------------------------------------------------------
-# exact dense matrices (tuples of tuples of Fraction)
+# exact dense matrices (tuples of rows of int-first values)
 
 def identity_matrix(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
+    if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            row.append(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)))
-        out.append(tuple(row))
-    return tuple(out)
+    columns = tuple(zip(*b))
+    return tuple(tuple(exact(sum(x * y for x, y in zip(row, col) if x))
+                       for col in columns)
+                 for row in a)
 
 
 def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(exact(x + y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(exact(x - y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
 
 
 def mat_apply(mat, coords):
-    """mat applied to a sparse coordinate dict {index: Fraction};
+    """mat applied to a sparse coordinate dict {index: value};
     mat[i][j] is the coefficient of e_i in the image of e_j."""
     out = {}
     for j, c in coords.items():
@@ -55,8 +64,8 @@ def mat_apply(mat, coords):
         for i, row in enumerate(mat):
             m = row[j]
             if m != 0:
-                out[i] = out.get(i, Fraction(0)) + m * c
-    return {i: c for i, c in out.items() if c != 0}
+                out[i] = out.get(i, 0) + m * c
+    return {i: exact(c) for i, c in out.items() if c != 0}
 
 
 def transpose(a):
@@ -68,7 +77,7 @@ def mat_inverse(a):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -81,13 +90,11 @@ def mat_inverse(a):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(map(exact, row[n:])) for row in aug)
 
 
 def supertrace(mat, parities):
     """Trace weighted by (-1)**parity of each diagonal slot."""
-    total = Fraction(0)
-    for i, p in enumerate(parities):
-        total += -mat[i][i] if p else mat[i][i]
-    return total
+    return exact(sum(-mat[i][i] if p else mat[i][i]
+                     for i, p in enumerate(parities)))
 

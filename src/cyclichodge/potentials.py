@@ -102,16 +102,22 @@ def _split(graph, alg):
     germs += [(1, j, 0, "E0", -1) for j, leaf in enumerate(graph.leaves)
               if leaf == (0, "E0")]
     fixing = [p for p in graph.vertex_automorphisms() if p[0] == 0]
-    seen = set()
+    seen, orbits = set(), set()
     for pair in combinations(germs, 2):
-        # the orbit's key: the least image of the two far ends, and
-        # whether the germs are the two ends of one loop
-        key = (min(tuple(sorted(p[end] if end >= 0 else end
-                                for (*_, end) in pair)) for p in fixing),
-               pair[0][:2] == pair[1][:2])
-        if key in seen:
+        # the orbit's key depends only on the pair's far ends and on
+        # whether the germs are the two ends of one loop, so a pair that
+        # repeats both is in an orbit already taken
+        ends = tuple(sorted(end for (*_, end) in pair))
+        loop = pair[0][:2] == pair[1][:2]
+        if (ends, loop) in seen:
             continue
-        seen.add(key)
+        seen.add((ends, loop))
+        # the orbit's key: the least image of the far ends, and the flag
+        key = (min(tuple(sorted(p[end] if end >= 0 else end for end in ends))
+                   for p in fixing), loop)
+        if key in orbits:
+            continue
+        orbits.add(key)
         if alg is not None and not live_vertex(
                 alg, ["GG", pair[0][3], pair[1][3]]):
             continue

@@ -92,7 +92,8 @@ class Residual:
         if self.details:
             det = {}
             for k, v in self.details.items():
-                det[k] = format_rational(v) if isinstance(v, Fraction) else v
+                det[k] = (format_rational(v) if isinstance(v, (int, Fraction))
+                          else v)
             obj["details"] = det
         return obj
 
@@ -240,7 +241,7 @@ def check_dilaton(alg, genus, degree, table=None):
     str_pi0 = derive_ops(alg).supertrace_pi0()
     rhs = [(1, [T(0, "i"), F(genus, 0, "j")], [("i", "j", SUM)]),
            (2 * genus - 2, [F(genus, 0)], []),
-           (str_pi0 / 24 if genus == 1 else 0, [], [])]
+           (Fraction(str_pi0, 24) if genus == 1 else 0, [], [])]
     return _check("dilaton", alg, table, degree, {"genus": genus}, "",
                   [(1, [F(genus, 1, (1, 1))], [])], rhs,
                   details={"str_pi0": str_pi0})

@@ -175,6 +175,41 @@ class TestFuzz:
             assert evaluate_graph(block8, g) == oracle_evaluate(block8, g)
 
 
+class TestWideVertices:
+    def test_engine_matches_oracle(self, block6):
+        # one vertex of arity 8 or 9 that shares variables with ID and GG
+        # edge factors, so a variable's scope spans a wide factor and
+        # narrow ones that overlap it
+        U = "UNIT"
+        graphs = [
+            (MarkedGraph(1, [(0, 0, "ID")], [(0, U)] * 7), Poly.const(2)),
+            (MarkedGraph(1, [(0, 0, "ID")], [(0, U)] * 6 + [(0, "E0")]),
+             T(0, 1) * 2),
+            (MarkedGraph(2, [(0, 1, "ID")], [(0, U)] * 6 + [(0, "E0")]
+                         + [(1, "E0")] + [(1, U)] * 5),
+             T(0, 1) * T(0, 2) * 2),
+            (MarkedGraph(2, [(0, 1, "GG")], [(0, U)] * 6 + [(0, "B4")]
+                         + [(1, "B4")] + [(1, U)] * 5), Poly.const(1)),
+            (MarkedGraph(2, [(0, 1, "ID")] * 2, [(0, U)] * 6 + [(1, U)] * 5),
+             Poly.const(6)),
+            (MarkedGraph(3, [(0, 1, "ID"), (0, 2, "GG"), (0, 0, "ID")],
+                         [(0, U)] * 5 + [(1, "E0"), (1, U), (2, "B4")]
+                         + [(2, U)] * 2), Poly.zero()),
+        ]
+        rng = random.Random(1100)
+        for graph, value in graphs:
+            assert oracle_evaluate(block6, graph) == value, repr(graph)
+            assert evaluate_graph(block6, graph) == value, repr(graph)
+            plan = random_plan(graph, rng)
+            assert evaluate_graph(block6, graph, plan) == value, repr(graph)
+
+    def test_thousand_unit_leaves(self, trivial):
+        # 1,100 UNIT leaves on one vertex: every step ties on cost, and
+        # each step walks the one wide factor once, not once per variable
+        graph = MarkedGraph(1, [], [(0, "UNIT")] * 1100)
+        assert evaluate_graph(trivial, graph) == Poly.const(1)
+
+
 class RecordingTable(PotentialTable):
     """An unpruned potential table remembering which pieces were asked
     for: its class lists keep the graphs the support rule drops, so the
