@@ -43,6 +43,7 @@ order:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -279,7 +280,8 @@ def load_algebra(path):
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from None
-    import os
+        except RecursionError:
+            raise FormatError("invalid JSON: nested too deeply") from None
     return parse_algebra(obj, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 

@@ -248,6 +248,11 @@ class MarkedGraph:
                             for perm in automorphisms))
         return rep
 
+    def canonical_ordering(self):
+        """The vertices in the order of the canonical representative: its
+        vertex i is the i-th."""
+        return self._least_encoding()[1]
+
     def vertex_automorphisms(self):
         """The vertex permutations preserving the marked structure, as
         tuples p renaming vertex v to p[v]; the identity first."""
@@ -344,7 +349,11 @@ def _is_entry(ent, width):
 
 def load_graph(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return MarkedGraph.from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
+    return MarkedGraph.from_json_obj(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,14 @@ truncated to l <= L is exact in every monomial it keeps.
 
 Both sums grow their classes from a rose, one vertex 0 carrying g - g'
 GG loops, the g' handles, the arrow (one-point sum only) and all E0
-leaves, by V - 1 splits, deduplicated by canonical form after each.  A
-split moves an unordered pair of GG half-edges or E0 leaves off vertex 0
-onto a new vertex joined to vertex 0 by a GG edge.  It keeps the graph
-connected and its genus and leaves the new vertex trivalent, so vertex 0
-ends with exactly its required germs; contracting a GG edge from vertex
-0 to a plain neighbour undoes it, and every class reduces to its rose
-that way, so the list is complete.  Classes are stored as canonical
-representatives: contraction cost depends on the labeling (one sign
-factor per inverted pair of half-edges that can both be odd), so it must
-not follow generation.
+leaves, by V - 1 splits.  A split moves an unordered pair of GG
+half-edges or E0 leaves off vertex 0 onto a new vertex w joined to
+vertex 0 by a GG edge.  It keeps the graph connected and its genus and
+leaves w trivalent, so vertex 0 ends with exactly its required germs;
+contracting a GG edge between vertex 0 and a plain vertex undoes it.
+Classes are stored as canonical representatives: contraction cost
+depends on the labeling (one sign factor per inverted pair of
+half-edges that can both be odd), so it must not follow generation.
 
 A graph is split once per orbit of such pairs under its vertex
 automorphisms that fix vertex 0.  Each germ is named by its far end: the
@@ -32,28 +30,61 @@ onto those of the other and either both or neither are the two ends of
 one loop.  The vertex map then lifts to a half-edge automorphism taking
 one pair to the other, since parallel GG edges, GG loops, the ends of a
 loop and the E0 leaves at a vertex can each be permuted freely; so the
-two children are isomorphic, and keeping one loses no class.  The dedup
-stays: children of different parents, or of pairs in different orbits,
-can still be isomorphic.
+two children are isomorphic, and keeping one loses no class.
+
+Each class is built once, by canonical augmentation (McKay, J.
+Algorithms 26 (1998)): a child is kept only if its new edge {0, w} is
+canonical, and no graph is deduplicated.  There are two rules:
+- Rooted steps: every step of a one-point sum, and every step of a
+  primary sum but the last.  The child's vertex 0 has degree >= 4 or
+  carries the arrow, so every automorphism fixes it.  The edges a split
+  can have made are the non-loop GG edges at vertex 0.  The child is
+  kept iff w is in the automorphism orbit of the canonical such
+  neighbour.
+- The last step of a primary sum.  The child is trivalent, so vertex 0
+  is like any other, and any non-loop GG edge can be the one made last.
+  The child is kept iff {0, w} is in the automorphism orbit of the
+  canonical non-loop GG edge.  Here a pair and its complement give the
+  same graph with 0 and w swapped, so the split takes one pair per
+  orbit of {pair, complement}.
+The canonical edge has the greatest local invariant (its multiplicity,
+and the leaves and loops at its ends), and among ties the ends first in
+the canonical ordering; both are isomorphism-invariant, and only a tie
+takes a sweep.
+
+Each layer then holds one graph per class, by induction.  Complete:
+contracting a class's canonical edge gives a graph of the previous
+layer's class; that layer's graph has a split in the same orbit, and
+its child is the class with the new edge canonical, so it is kept.
+Duplicate-free: an isomorphism between two kept children maps canonical
+edges to canonical edges, so after an automorphism it takes new edge to
+new edge.  It then restricts to an isomorphism between their parents,
+one graph of the previous layer, taking one pair to the other or, if it
+swaps 0 and w, to its complement.  The split took one pair of that
+orbit, so the two children are one graph.
 
 Given an algebra, a split whose new vertex w is zero there is dropped
-before dedup.  Later splits move germs off vertex 0 only, so w keeps its
-three germs for good, and each germ's mark fixes the basis indices it
-can carry: a GG half-edge those on either leg of the GG edge table, an
-E<k> leaf those of H_0.  If no entry of the arity-3 vertex table fits
-them, every term of every graph grown from the child is zero.  The
-finished vertex 0 takes the same test at its arity.  The test is
-`contract.live_vertex`: the fold that builds the vertex tables, run over
-the germs' supports only and stopped at its first nonzero integral, so
-it builds no vertex table.  The rule keeps every nonzero class: such a
-class has no zero vertex, and its contraction path back to the rose
-passes only through graphs whose other vertices are vertices of the
-class.  Over an algebra with no 4-blocks the GG table is empty, so
-only a rose with no GG loop that needs no split is kept.
+before the canonical test.  Later splits move germs off vertex 0 only,
+so w keeps its three germs for good, and each germ's mark fixes the
+basis indices it can carry: a GG half-edge those on either leg of the
+GG edge table, an E<k> leaf those of H_0.  If no entry of the arity-3
+vertex table fits them, every term of every graph grown from the child
+is zero.  The finished vertex 0 takes the same test at its arity.  The
+test is `contract.live_vertex`: the fold that builds the vertex tables,
+run over the germs' supports only and stopped at its first nonzero
+integral, so it builds no vertex table.  The rule keeps every nonzero
+class, since such a class has no zero vertex, and the argument above
+holds under it: contracting a kept class's canonical edge gives a graph
+whose vertices other than vertex 0 are vertices of the class, so its
+class is in the previous layer, and the split that restores the class
+makes one of its vertices, which passes the rule.  Over an algebra with
+no 4-blocks the GG table is empty, so only a rose with no GG loop that
+needs no split is kept.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -91,7 +122,9 @@ def _split(graph, alg):
     """One graph for each orbit of unordered pairs of GG half-edges or E0
     leaves at vertex 0, moved off vertex 0 onto a new vertex w joined to
     vertex 0 by GG; given an algebra, only those whose w can be nonzero
-    over it."""
+    over it.  When vertex 0 has four germs, all of them such, the child
+    is trivalent and a pair and its complement give the same class, so
+    there is one graph for each orbit of {pair, complement}."""
     w = graph.n_vertices
     # a germ is (table, entry, slot, mark, end): table 0 holds edges,
     # table 1 leaves; end is the vertex at the germ's far end (0 for a
@@ -102,22 +135,38 @@ def _split(graph, alg):
     germs += [(1, j, 0, "E0", -1) for j, leaf in enumerate(graph.leaves)
               if leaf == (0, "E0")]
     fixing = [p for p in graph.vertex_automorphisms() if p[0] == 0]
-    seen, orbits = set(), set()
-    for pair in combinations(germs, 2):
-        # the orbit's key depends only on the pair's far ends and on
-        # whether the germs are the two ends of one loop, so a pair that
-        # repeats both is in an orbit already taken
-        ends = tuple(sorted(end for (*_, end) in pair))
-        loop = pair[0][:2] == pair[1][:2]
-        if (ends, loop) in seen:
-            continue
-        seen.add((ends, loop))
+
+    def raw(pair):
+        # the far ends, and whether the germs are the two ends of a loop
+        return (tuple(sorted(end for (*_, end) in pair)),
+                pair[0][:2] == pair[1][:2])
+
+    def key(ends, loop):
         # the orbit's key: the least image of the far ends, and the flag
-        key = (min(tuple(sorted(p[end] if end >= 0 else end for end in ends))
-                   for p in fixing), loop)
-        if key in orbits:
+        return (min(tuple(sorted(p[end] if end >= 0 else end
+                                 for end in ends)) for p in fixing), loop)
+
+    if len(germs) == 4 == graph.degree(0):
+        # each {pair, complement} once: the pair holding the first germ
+        pairs = [((germs[0], germ), [g for g in germs[1:] if g != germ])
+                 for germ in germs[1:]]
+    else:
+        pairs = ((pair, None) for pair in combinations(germs, 2))
+    seen, orbits = set(), set()
+    for pair, rest in pairs:
+        # the key depends only on the raw ends and flag (the complement's
+        # follow from them), so a pair that repeats both is in an orbit
+        # already taken
+        ends = raw(pair)
+        if ends in seen:
             continue
-        orbits.add(key)
+        seen.add(ends)
+        orbit = key(*ends)
+        if rest is not None:
+            orbit = min(orbit, key(*raw(rest)))
+        if orbit in orbits:
+            continue
+        orbits.add(orbit)
         if alg is not None and not live_vertex(
                 alg, ["GG", pair[0][3], pair[1][3]]):
             continue
@@ -128,9 +177,46 @@ def _split(graph, alg):
         yield MarkedGraph(w + 1, edges + [(0, w, "GG")], leaves)
 
 
-def _dedup(graphs):
-    """One graph of each isomorphism class, keyed by canonical form."""
-    return {graph.canonical_form(): graph for graph in graphs}
+def _canonical(graph):
+    """Whether the split that made the last vertex w made a canonical
+    edge: whether {0, w} is in the automorphism orbit of the canonical
+    one among the edges whose contraction undoes a split.
+
+    Those are the non-loop edges (all GG) at vertex 0, or all of them
+    once vertex 0 is trivalent with only GG and E0 germs.  The canonical
+    one has the greatest local invariant (its multiplicity, and the
+    leaves and loops at its ends), and among ties the ends first in the
+    canonical ordering; so only a tie takes a sweep.  A rose, made by no
+    split, is canonical.
+    """
+    V = graph.n_vertices
+    if V == 1:
+        return True
+    leaves, loops = [0] * V, [0] * V
+    parallel = Counter()
+    for (u, v, _) in graph.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            parallel[u, v] += 1
+    for (v, _) in graph.leaves:
+        leaves[v] += 1
+    local = list(zip(leaves, loops))
+    marks = _marks_at(graph, 0)
+    rooted = len(marks) != 3 or not set(marks) <= {"GG", "E0"}
+    invariant = {edge: (count, sorted((local[edge[0]], local[edge[1]])))
+                 for edge, count in parallel.items()
+                 if edge[0] == 0 or not rooted}
+    w = V - 1
+    best = max(invariant.values())
+    if invariant[0, w] != best:
+        return False
+    ties = [edge for edge, inv in invariant.items() if inv == best]
+    if len(ties) == 1:
+        return True
+    position = {v: i for i, v in enumerate(graph.canonical_ordering())}
+    a, b = min(ties, key=lambda edge: sorted(position[v] for v in edge))
+    return any({p[0], p[w]} == {a, b} for p in graph.vertex_automorphisms())
 
 
 def _classes(roses, valid, alg):
@@ -139,16 +225,20 @@ def _classes(roses, valid, alg):
     algebra, only those with no vertex that is zero over it."""
     found = {}
     for rose, splits in roses:
+        # a graph takes the canonical test only when it is split or
+        # finished, after the finished vertex 0's test, which is cheaper
+        # than the sweep of a tie
         layer = [rose]
-        for step in range(splits):
-            # a lone rose needs no canonical form
-            parents = _dedup(layer).values() if step else layer
-            layer = (child for graph in parents
+        for _ in range(splits):
+            layer = (child for graph in layer if _canonical(graph)
                      for child in _split(graph, alg))
         if alg is not None:
             layer = (graph for graph in layer
                      if live_vertex(alg, _marks_at(graph, 0)))
-        found.update(_dedup(layer))
+        for graph in filter(_canonical, layer):
+            key = graph.canonical_form()
+            assert key not in found, graph
+            found[key] = graph
     classes = []
     for key in sorted(found):
         graph = found[key].canonical_graph()

@@ -1,12 +1,15 @@
-"""Class generation splits once per automorphism orbit of germ pairs.
+"""Class generation builds each class once, by canonical augmentation.
 
 The reference splits every pair of GG half-edges or E0 leaves at vertex
-0, with the support rule's test on the new vertex, and leaves the rest to
-the dedup by `canonical_form`.  Over the oracle grid g <= 2, n <= 4,
-L <= 4 of `tests/test_class_weights.py` both give the same class lists:
-the same graphs, weights, |Aut| and order.
+0, with the support rule's test on the new vertex, and keeps one graph
+per `canonical_form` after each layer.  Over the oracle grid g <= 2,
+n <= 4, L <= 4 of `tests/test_class_weights.py` both give the same class
+lists: the same graphs, weights, |Aut| and order.  The production
+generator takes one canonical form per class, so it never builds a
+graph twice.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,7 +17,8 @@ import pytest
 from cyclichodge import potentials
 from cyclichodge.contract import live_vertex
 from cyclichodge.graphs import MarkedGraph
-from cyclichodge.potentials import enumerate_desc, enumerate_sm
+from cyclichodge.potentials import (WeightedGraphClass, enumerate_desc,
+                                    enumerate_sm)
 
 GRID = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
         if n or 2 * g - 2 + L >= 1]
@@ -40,6 +44,34 @@ def every_split(graph, alg):
         yield MarkedGraph(w + 1, tables[0] + [(0, w, "GG")], tables[1])
 
 
+def reference_classes(roses, valid, alg):
+    """The classes grown from each rose by every split, one graph per
+    canonical form after each layer; given an algebra, only those whose
+    finished vertex 0 can be nonzero too."""
+    found = {}
+    for rose, splits in roses:
+        layer = {rose.canonical_form(): rose}
+        for _ in range(splits):
+            layer = {child.canonical_form(): child
+                     for graph in layer.values()
+                     for child in every_split(graph, alg)}
+        for key, graph in layer.items():
+            marks = ([m for (u, v, m) in graph.edges for end in (u, v)
+                      if end == 0]
+                     + [m for (v, m) in graph.leaves if v == 0])
+            if alg is None or live_vertex(alg, marks):
+                found[key] = graph
+    classes = []
+    for key in sorted(found):
+        graph = found[key].canonical_graph()
+        assert valid(graph)[0], graph
+        handles = sum(m == "IDLOOP" for (_, _, m) in graph.edges)
+        aut = graph.automorphism_order()
+        classes.append(WeightedGraphClass(
+            graph, Fraction(1, 12) ** handles / aut, aut, handles))
+    return classes
+
+
 def class_lists(alg):
     return [enumerate_sm(g, L, alg) if n == 0 else enumerate_desc(g, n, L, alg)
             for g, n, L in GRID]
@@ -48,33 +80,47 @@ def class_lists(alg):
 @pytest.mark.parametrize("name", [None, "live8", "loop8", "cubic6"])
 def test_orbit_splits_keep_every_class(request, monkeypatch, name):
     alg = None if name is None else request.getfixturevalue(name)
-    orbit = class_lists(alg)
-    monkeypatch.setattr(potentials, "_split", every_split)
+    augmented = class_lists(alg)
+    monkeypatch.setattr(potentials, "_classes", reference_classes)
     reference = class_lists(alg)
-    assert orbit == reference
-    assert any(orbit)
+    assert augmented == reference
+    assert any(augmented)
 
 
-def canonical_forms(monkeypatch, lists):
-    """How many canonical forms building the lists takes."""
-    calls = []
-    canonical_form = MarkedGraph.canonical_form
+def counted(monkeypatch, build):
+    """The classes `build` returns, and how many canonical forms and
+    sweeps it takes."""
+    calls = {"canonical_form": 0, "_sweep_orderings": 0}
+    for name in calls:
+        method = getattr(MarkedGraph, name)
 
-    def counting(graph):
-        calls.append(graph)
-        return canonical_form(graph)
+        def counting(graph, name=name, method=method):
+            calls[name] += 1
+            return method(graph)
 
-    monkeypatch.setattr(MarkedGraph, "canonical_form", counting)
-    classes = sum((build() for build in lists), [])
+        monkeypatch.setattr(MarkedGraph, name, counting)
+    classes = build()
     monkeypatch.undo()
-    return len(classes), len(calls)
+    return classes, calls["canonical_form"], calls["_sweep_orderings"]
+
+
+@pytest.mark.parametrize("name", [None, "block6", "live8", "loop8", "cubic6"])
+def test_one_canonical_form_per_class(request, monkeypatch, name):
+    # every accepted graph is a new class: none is built, swept or held
+    # twice, with the support rule on or off
+    alg = None if name is None else request.getfixturevalue(name)
+    lists, forms, _ = counted(monkeypatch, lambda: class_lists(alg))
+    assert forms == sum(map(len, lists)) > 0
 
 
 def test_genus_two_canonical_forms(monkeypatch):
-    # the two lists of the classes-genus2 benchmark workload: one child
-    # per orbit of germ pairs, one canonical form per child and none for
-    # a lone rose; a split rule that merges fewer orbits raises the counts
-    primary = [lambda L=L: enumerate_sm(2, L) for L in range(5)]
-    level1 = [lambda L=L: enumerate_desc(2, 1, L) for L in range(4)]
-    assert canonical_forms(monkeypatch, primary) == (83, 1006)
-    assert canonical_forms(monkeypatch, level1) == (112, 343)
+    # the two lists of the classes-genus2 benchmark workload: one
+    # canonical form per class, and a sweep for each parent, each class
+    # and each child whose local invariant ties; an acceptance rule that
+    # sweeps every child raises the sweep counts
+    primary = lambda: sum((enumerate_sm(2, L) for L in range(5)), [])
+    level1 = lambda: sum((enumerate_desc(2, 1, L) for L in range(4)), [])
+    classes, forms, sweeps = counted(monkeypatch, primary)
+    assert (len(classes), forms, sweeps) == (83, 83, 346)
+    classes, forms, sweeps = counted(monkeypatch, level1)
+    assert (len(classes), forms, sweeps) == (112, 112, 247)

@@ -265,6 +265,19 @@ class TestBadInput:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("kind", ["graph", "algebra"])
+    def test_deeply_nested_json(self, tmp_path, graph_file, kind):
+        # the JSON decoder recurses once per bracket, so a deep enough
+        # file used to end in a RecursionError traceback with exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        graph = str(path) if kind == "graph" else graph_file
+        algebra = str(path) if kind == "algebra" else "trivial"
+        rc, out, err = run_cli("eval", "--algebra", algebra, "--graph", graph)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli("frobnicate")
         assert rc == 2

@@ -39,11 +39,11 @@ def classes(g, n, L, alg=None):
 
 
 @pytest.mark.parametrize("name,dropped_children", [
-    pytest.param("block6", 3219, id="block6"),
-    pytest.param("dual2", 3219, id="dual2"),
-    pytest.param("live8", 2795, id="live8"),
-    pytest.param("loop8", 2092, id="loop8"),
-    pytest.param("cubic6", 1551, id="cubic6")])
+    pytest.param("block6", 2927, id="block6"),
+    pytest.param("dual2", 2927, id="dual2"),
+    pytest.param("live8", 2562, id="live8"),
+    pytest.param("loop8", 1944, id="loop8"),
+    pytest.param("cubic6", 1348, id="cubic6")])
 def test_dropped_graphs_are_zero(request, monkeypatch, name,
                                  dropped_children):
     alg = request.getfixturevalue(name)
