@@ -74,23 +74,18 @@ def make_plan(graph):
     edges untwisted, every other edge (loops included) twisted."""
     if not graph.is_connected():
         raise ValueError("plans exist for connected graphs only")
-    incident = [[] for _ in range(graph.n_vertices)]
-    for k, (u, v, _) in enumerate(graph.edges):
-        incident[u].append((k, v))
-        if u != v:
-            incident[v].append((k, u))
     seen = {0}
     order = [0]
     tree = set()
-    # per vertex on the current path, the rest of its sorted incidences
-    stack = [iter(sorted(incident[0]))]
+    # per vertex on the current path, the rest of its incidences
+    stack = [graph.incident(0)]
     while stack:
         for (k, w) in stack[-1]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
                 tree.add(k)
-                stack.append(iter(sorted(incident[w])))
+                stack.append(graph.incident(w))
                 break
         else:
             stack.pop()

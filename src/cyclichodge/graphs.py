@@ -26,7 +26,9 @@ from math import factorial
 
 EDGE_MARKS = ("GG", "IDLOOP", "ID", "PI0", "QGP", "GPQ", "GP", "GM")
 
-_LEAF_RE = re.compile(r"^(E(?:0|[1-9]\d*)|UNIT|B[1-9]\d*)$")
+# matched whole (fullmatch) and ASCII only: `$` also matches before a
+# trailing newline, and `\d` matches every Unicode decimal digit
+_LEAF_RE = re.compile(r"E(?:0|[1-9][0-9]*)|UNIT|B[1-9][0-9]*")
 
 
 def leaf_level(mark):
@@ -44,10 +46,14 @@ def leaf_basis_index(mark):
 
 
 class MarkedGraph:
-    """Immutable-by-convention marked multigraph."""
+    """Immutable-by-convention marked multigraph.
 
-    # _sweep keeps the canonical-form sweep (see _least_encoding)
-    __slots__ = ("n_vertices", "edges", "leaves", "_sweep")
+    Immutability backs three caches, each derived once and kept with the
+    graph: the germ lists, the connectivity and the canonical-form sweep.
+    """
+
+    __slots__ = ("n_vertices", "edges", "leaves", "_germs", "_connected",
+                 "_sweep")
 
     def __init__(self, n_vertices, edges, leaves=()):
         if not isinstance(n_vertices, int) or n_vertices < 1:
@@ -65,13 +71,25 @@ class MarkedGraph:
         for (v, mark) in leaves:
             if not 0 <= v < n_vertices:
                 raise ValueError(f"leaf vertex out of range: {(v, mark)}")
-            if not _LEAF_RE.match(mark):
+            if not _LEAF_RE.fullmatch(mark):
                 raise ValueError(f"unknown leaf mark {mark!r}")
             norm_leaves.append((v, mark))
+        self._set(n_vertices, tuple(norm_edges), tuple(norm_leaves))
+
+    @classmethod
+    def _checked(cls, n_vertices, edges, leaves):
+        """A graph from tuples that already pass the constructor's checks
+        and are normalised (each edge's lesser end first): a split child
+        built from its parent, or the sweep's representative."""
+        graph = cls.__new__(cls)
+        graph._set(n_vertices, edges, leaves)
+        return graph
+
+    def _set(self, n_vertices, edges, leaves):
         self.n_vertices = n_vertices
-        self.edges = tuple(norm_edges)
-        self.leaves = tuple(norm_leaves)
-        self._sweep = None
+        self.edges = edges
+        self.leaves = leaves
+        self._germs = self._connected = self._sweep = None
 
     # -- half-edge geometry ------------------------------------------------
 
@@ -90,16 +108,31 @@ class MarkedGraph:
     def germs(self):
         """Per vertex, the half-edges at it, ascending (both halves of a
         loop included)."""
-        at = [[] for _ in range(self.n_vertices)]
-        for k, (u, v, _) in enumerate(self.edges):
-            at[u].append(2 * k)
-            at[v].append(2 * k + 1)
-        for j, (v, _) in enumerate(self.leaves):
-            at[v].append(2 * self.n_edges + j)
-        return tuple(tuple(hs) for hs in at)
+        if self._germs is None:
+            at = [[] for _ in range(self.n_vertices)]
+            for k, (u, v, _) in enumerate(self.edges):
+                at[u].append(2 * k)
+                at[v].append(2 * k + 1)
+            for j, (v, _) in enumerate(self.leaves):
+                at[v].append(2 * self.n_edges + j)
+            self._germs = tuple(tuple(hs) for hs in at)
+        return self._germs
 
     def degree(self, v):
         return len(self.germs()[v])
+
+    def mark(self, h):
+        """The mark of half-edge h: its edge's, or its leaf's."""
+        if h < 2 * self.n_edges:
+            return self.edges[h // 2][2]
+        return self.leaves[h - 2 * self.n_edges][1]
+
+    def incident(self, v):
+        """(edge id, far end) for each edge half-edge at v, ids ascending;
+        a loop's two halves both give (id, v)."""
+        edges, n_ends = self.edges, 2 * self.n_edges
+        return ((h // 2, edges[h // 2][1 - h % 2])
+                for h in self.germs()[v] if h < n_ends)
 
     def vertex_profile(self, v):
         """(own_handles, other_germs): IDLOOP count and remaining degree."""
@@ -110,23 +143,20 @@ class MarkedGraph:
     # -- global invariants --------------------------------------------------
 
     def is_connected(self):
-        # a connected graph has at least V - 1 edges; checking that first
-        # keeps a huge vertex count from building one list per vertex
-        if self.n_edges < self.n_vertices - 1:
-            return False
-        seen = {0}
-        stack = [0]
-        adj = [[] for _ in range(self.n_vertices)]
-        for (u, v, _) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        if self._connected is None:
+            seen = {0}
+            # a connected graph has at least V - 1 edges; checking that
+            # first keeps a huge vertex count from building one list per
+            # vertex
+            if self.n_edges >= self.n_vertices - 1:
+                stack = [0]
+                while stack:
+                    for (_, w) in self.incident(stack.pop()):
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+            self._connected = len(seen) == self.n_vertices
+        return self._connected
 
     def genus(self):
         """First Betti number; defined for connected graphs only."""
@@ -151,28 +181,26 @@ class MarkedGraph:
         Ranks are comparable across isomorphic graphs: each round sorts
         the (previous rank, neighborhood multiset) signatures and
         renumbers, and the signatures are built only from marks and
-        previous ranks.  `adjacent[v]` lists the (mark, endpoint) of each
-        non-loop edge at v.
+        previous ranks.  A round only splits cells, keeping their order,
+        so one that leaves the cell count alone changes no rank: the
+        refinement stops there, or once every cell is one vertex.
+        `adjacent[v]` lists the (mark, endpoint) of each non-loop edge
+        at v.
         """
         V = self.n_vertices
-        ranks = self._compress(list(zip(leaf_marks, loop_marks)))
-        for _ in range(V):
+        ranks, cells = _compress(list(zip(leaf_marks, loop_marks)))
+        while cells < V:
             sig = [(ranks[v], tuple(sorted((mark, ranks[x])
                                            for (mark, x) in adjacent[v])))
                    for v in range(V)]
-            new_ranks = self._compress(sig)
-            if new_ranks == ranks:
+            new_ranks, new_cells = _compress(sig)
+            if new_cells == cells:
                 break
-            ranks = new_ranks
-        classes = {}
+            ranks, cells = new_ranks, new_cells
+        classes = [[] for _ in range(cells)]
         for v in range(V):
-            classes.setdefault(ranks[v], []).append(v)
-        return [classes[r] for r in sorted(classes)]
-
-    @staticmethod
-    def _compress(sig):
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        return [order[s] for s in sig]
+            classes[ranks[v]].append(v)
+        return classes
 
     def _least_encoding(self):
         """One sweep over the refined orderings, kept with this graph.
@@ -237,9 +265,11 @@ class MarkedGraph:
         the order of the least encoding, edges and leaves sorted."""
         encoding, first, automorphisms = self._least_encoding()
         n_vertices, verts, edges = encoding
-        rep = MarkedGraph(n_vertices, edges,
-                          [(v, m) for v, (marks,) in enumerate(verts)
-                           for m in marks])
+        # the encoding holds this graph's marks, each edge lesser end
+        # first, so the representative passes every check already
+        rep = MarkedGraph._checked(
+            n_vertices, edges,
+            tuple((v, m) for v, (marks,) in enumerate(verts) for m in marks))
         # the representative has the same least encoding, reached first
         # by the identity; its automorphisms are these conjugated by first
         position = {v: i for i, v in enumerate(first)}
@@ -317,6 +347,12 @@ class MarkedGraph:
 
     def __hash__(self):
         return hash((self.n_vertices, self.edges, self.leaves))
+
+
+def _compress(sig):
+    """Each signature's rank among the distinct ones, and their number."""
+    order = {s: i for i, s in enumerate(sorted(set(sig)))}
+    return [order[s] for s in sig], len(order)
 
 
 def _orderings(cells):

@@ -4,7 +4,12 @@ A variable is a pair (n, i): n >= 0 is the arrow level, i >= 1 the slot.
 Level-0 variables T[0,i] are the plain couplings; levels n >= 1 appear at
 most to low total degree in everything this package produces, so a
 monomial is simply the sorted tuple of its variable pairs (with
-repetition) and a polynomial is a dict monomial -> Fraction.
+repetition) and a polynomial is a dict monomial -> coefficient.
+Coefficients are int-first, as everywhere in this package (see
+`graded`): a whole one is an `int`, any other a `Fraction`.  The public
+constructor checks and sorts every monomial and parses every
+coefficient; arithmetic builds its results from monomials and
+coefficients that are already clean, so it skips both.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+from .graded import exact
+
+# matched whole and ASCII only: `\d` matches every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rational(s):
@@ -20,7 +28,7 @@ def parse_rational(s):
     # type(s) is int: JSON true/false load as bools, which are ints
     if type(s) is int:
         return Fraction(s)
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s.strip()):
         raise ValueError(f"not a rational literal: {s!r}")
     return Fraction(s.strip())
 
@@ -52,8 +60,16 @@ class Poly:
             for mono, coeff in terms.items():
                 c = Fraction(coeff)
                 if c != 0:
-                    clean[_normalize_mono(mono)] = c
+                    clean[_normalize_mono(mono)] = exact(c)
         self.terms = clean
+
+    @classmethod
+    def _clean(cls, terms):
+        """A polynomial holding `terms` itself: sorted, checked monomials
+        with nonzero int-first coefficients."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -98,13 +114,17 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return Poly(out)
+            total = out.get(mono, 0) + c
+            if total:
+                out[mono] = exact(total)
+            else:
+                del out[mono]
+        return Poly._clean(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._clean({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -118,18 +138,18 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 return Poly()
-            return Poly({m: c * v for m, v in self.terms.items()})
+            return Poly._clean({m: exact(other * v)
+                                for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly._clean({m: exact(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -145,15 +165,15 @@ class Poly:
                 continue
             rest = list(mono)
             rest.remove(var)
-            m = tuple(rest)
-            out[m] = out.get(m, Fraction(0)) + k * c
-        return Poly(out)
+            # monomials holding var differ after one is removed
+            out[tuple(rest)] = exact(k * c)
+        return Poly._clean(out)
 
     def coefficient(self, mono):
-        return self.terms.get(_normalize_mono(mono), Fraction(0))
+        return self.terms.get(_normalize_mono(mono), 0)
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def truncate(self, total_degree=None, arrow_degree=None, max_level=None):
         """Drop monomials exceeding the given bounds (None = no bound)."""
@@ -166,22 +186,22 @@ class Poly:
             if max_level is not None and any(n > max_level for n, _ in mono):
                 continue
             out[mono] = c
-        return Poly(out)
+        return Poly._clean(out)
 
     def arrow_part(self, k):
         """Sub-sum of monomials with exactly k factors of level >= 1."""
-        return Poly({m: c for m, c in self.terms.items()
-                     if sum(1 for n, _ in m if n >= 1) == k})
+        return Poly._clean({m: c for m, c in self.terms.items()
+                            if sum(1 for n, _ in m if n >= 1) == k})
 
     def level_zero_degree_part(self, k):
         """Sub-sum of monomials with exactly k level-0 factors."""
-        return Poly({m: c for m, c in self.terms.items()
-                     if sum(1 for n, _ in m if n == 0) == k})
+        return Poly._clean({m: c for m, c in self.terms.items()
+                            if sum(1 for n, _ in m if n == 0) == k})
 
     def substitute_zero(self, pred):
         """Kill every monomial containing a variable for which pred(n, i)."""
-        return Poly({m: c for m, c in self.terms.items()
-                     if not any(pred(n, i) for n, i in m)})
+        return Poly._clean({m: c for m, c in self.terms.items()
+                            if not any(pred(n, i) for n, i in m)})
 
     def items(self):
         return self.terms.items()

@@ -84,7 +84,6 @@ needs no split is kept.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -111,13 +110,6 @@ class WeightedGraphClass:
 # class generation: split a one-vertex rose
 
 
-def _marks_at(graph, v):
-    """The marks of the germs at vertex v (a loop's twice)."""
-    return ([mark for (a, b, mark) in graph.edges if a == v]
-            + [mark for (a, b, mark) in graph.edges if b == v]
-            + [mark for (u, mark) in graph.leaves if u == v])
-
-
 def _split(graph, alg):
     """One graph for each orbit of unordered pairs of GG half-edges or E0
     leaves at vertex 0, moved off vertex 0 onto a new vertex w joined to
@@ -142,7 +134,10 @@ def _split(graph, alg):
                 pair[0][:2] == pair[1][:2])
 
     def key(ends, loop):
-        # the orbit's key: the least image of the far ends, and the flag
+        # the orbit's key: the least image of the far ends, and the flag;
+        # when the identity alone fixes vertex 0, the raw ends and flag
+        if len(fixing) == 1:
+            return ends, loop
         return (min(tuple(sorted(p[end] if end >= 0 else end
                                  for end in ends)) for p in fixing), loop)
 
@@ -170,11 +165,16 @@ def _split(graph, alg):
         if alg is not None and not live_vertex(
                 alg, ["GG", pair[0][3], pair[1][3]]):
             continue
-        edges, leaves = tables = ([list(edge) for edge in graph.edges],
-                                  [list(leaf) for leaf in graph.leaves])
-        for table, entry, slot, _, _ in pair:
-            tables[table][entry][slot] = w
-        yield MarkedGraph(w + 1, edges + [(0, w, "GG")], leaves)
+        # the parent's tuples with the pair's ends at w: an edge keeps
+        # its far end, which is less than w, or is a loop at w
+        edges, leaves = list(graph.edges), list(graph.leaves)
+        for table, entry, _, _, end in pair:
+            if table:
+                leaves[entry] = (w, "E0")
+            else:
+                edges[entry] = (w, w, "GG") if ends[1] else (end, w, "GG")
+        edges.append((0, w, "GG"))
+        yield MarkedGraph._checked(w + 1, tuple(edges), tuple(leaves))
 
 
 def _canonical(graph):
@@ -193,17 +193,24 @@ def _canonical(graph):
     if V == 1:
         return True
     leaves, loops = [0] * V, [0] * V
-    parallel = Counter()
-    for (u, v, _) in graph.edges:
+    parallel = {}
+    # vertex 0's degree, and whether its germs are all GG and E0
+    degree, plain = 0, True
+    for (u, v, mark) in graph.edges:
         if u == v:
             loops[u] += 1
         else:
-            parallel[u, v] += 1
-    for (v, _) in graph.leaves:
+            parallel[u, v] = parallel.get((u, v), 0) + 1
+        if u == 0:
+            degree += 1 + (v == 0)
+            plain = plain and mark == "GG"
+    for (v, mark) in graph.leaves:
         leaves[v] += 1
+        if v == 0:
+            degree += 1
+            plain = plain and mark == "E0"
     local = list(zip(leaves, loops))
-    marks = _marks_at(graph, 0)
-    rooted = len(marks) != 3 or not set(marks) <= {"GG", "E0"}
+    rooted = degree != 3 or not plain
     invariant = {edge: (count, sorted((local[edge[0]], local[edge[1]])))
                  for edge, count in parallel.items()
                  if edge[0] == 0 or not rooted}
@@ -234,7 +241,7 @@ def _classes(roses, valid, alg):
                      for child in _split(graph, alg))
         if alg is not None:
             layer = (graph for graph in layer
-                     if live_vertex(alg, _marks_at(graph, 0)))
+                     if live_vertex(alg, map(graph.mark, graph.germs()[0])))
         for graph in filter(_canonical, layer):
             key = graph.canonical_form()
             assert key not in found, graph

@@ -87,6 +87,32 @@ def test_orbit_splits_keep_every_class(request, monkeypatch, name):
     assert any(augmented)
 
 
+@pytest.mark.parametrize("name", [None, "live8", "loop8", "cubic6"])
+def test_checked_graphs_match_public_twins(request, monkeypatch, name):
+    # split children and class representatives skip the constructor's
+    # checks; each must be the graph the public constructor builds from
+    # its tuples, with the same germ lists and connectivity
+    alg = None if name is None else request.getfixturevalue(name)
+    children = []
+    split = potentials._split
+
+    def recording(graph, alg):
+        for child in split(graph, alg):
+            children.append(child)
+            yield child
+
+    monkeypatch.setattr(potentials, "_split", recording)
+    classes = sum(class_lists(alg), [])
+    assert children
+    graphs = children + [cls.graph for cls in classes]
+    for graph in graphs:
+        twin = MarkedGraph(graph.n_vertices, graph.edges, graph.leaves)
+        assert graph == twin
+        assert type(graph.edges) is type(graph.leaves) is tuple
+        assert graph.germs() == twin.germs()
+        assert graph.is_connected() == twin.is_connected()
+
+
 def counted(monkeypatch, build):
     """The classes `build` returns, and how many canonical forms and
     sweeps it takes."""

@@ -257,6 +257,21 @@ class TestBadInput:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("mark", ["E0\n", "B1\u0663"],
+                             ids=["trailing-newline", "non-ascii-digit"])
+    def test_bad_leaf_mark(self, tmp_path, mark):
+        # "E0\n" used to pass as E0, printing T_{0,1}^3 with exit 0, and
+        # "B1" followed by an Arabic-Indic three was read as B13
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "vertices": 1, "edges": [],
+            "leaves": [[1, mark], [1, "E0"], [1, "E0"]]}))
+        rc, out, err = run_cli("eval", "--algebra", "trivial",
+                               "--graph", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: unknown leaf mark {mark!r}\n"
+
     def test_malformed_algebra(self, tmp_path, graph_file):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": "many"}')

@@ -81,6 +81,11 @@ class TestBasics:
             MarkedGraph(1, [], [(0, "B0")])
         with pytest.raises(ValueError):
             MarkedGraph(1, [], [(1, "E0")])
+        # a leaf mark matches whole, in ASCII digits: `$` also matched
+        # before a trailing newline, and `\d` an Arabic-Indic three
+        for mark in ("E0\n", "UNIT\n", "B1\u0663", "E\u0661", "E1 "):
+            with pytest.raises(ValueError):
+                MarkedGraph(1, [], [(0, mark)])
 
     def test_half_edge_geometry(self):
         g = MarkedGraph(2, [(0, 1, "GG"), (1, 1, "GG")], [(0, "E0")])

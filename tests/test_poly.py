@@ -17,7 +17,10 @@ class TestRationals:
         assert parse_rational(5) == 5
 
     @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "3/0", "3/-2",
-                                     " 1 / 2 ", "a", None, 1.5, True, False])
+                                     " 1 / 2 ", "a", None, 1.5, True, False,
+                                     # non-ASCII digits: Arabic-Indic one
+                                     # and three
+                                     "\u0661", "1/2\u0663"])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -29,6 +32,29 @@ class TestRationals:
 
 def T(n, i):
     return Poly.var(n, i)
+
+
+def int_first(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+class TestIntFirst:
+    def test_whole_coefficients_stay_int(self):
+        half = T(0, 1) * Fraction(1, 2)
+        p = (half + half) * T(0, 2) - Fraction(3, 2) * T(1, 1)
+        q = p * p * Fraction(2, 3) + p
+        results = [p, q, -q, q * 2, Fraction(4, 2) * q, q - p,
+                   q.partial((0, 1)), q.partial((1, 1)),
+                   q.truncate(total_degree=2), q.arrow_part(1),
+                   q.level_zero_degree_part(2),
+                   q.substitute_zero(lambda n, i: n == 1),
+                   Poly({((0, 1),): Fraction(6, 3), (): "1/2"})]
+        for r in results:
+            assert int_first(r), r
+        assert type(p.coefficient([(0, 1), (0, 2)])) is int
+        assert type(q.constant_term()) is int
+        assert (half + half).terms == {((0, 1),): 1}
 
 
 class TestRing:

@@ -134,6 +134,13 @@ class DoubledClass(PotentialTable):
                 if cls.graph.edges == self.edges else cls for cls in out]
 
 
+DUMBBELL = ((0, 0, "GG"), (0, 1, "GG"), (1, 1, "GG"))
+# the checks that fail when one GG class of the level-1 F_2 counts twice
+LEVEL1_GENUS2 = [("string", {"genus": 2, "max_level": 4}),
+                 ("dilaton", {"genus": 2}), ("trr2", {"n": 0}),
+                 ("trr2", {"n": 1})]
+
+
 class TestGGClassMutations:
     """On loop8 and cubic6 a nonzero GG cycle enters the potentials, so
     the battery must notice one such class counted twice.  Doubling every
@@ -145,8 +152,22 @@ class TestGGClassMutations:
             ("string", {"genus": 1, "max_level": 4}),
             ("dilaton", {"genus": 1}), ("trr1", {"n": 0}),
             ("trr1", {"n": 1})], id="loop8-one-vertex-loop"),
+        pytest.param("loop8", (1, 0, 2), ((0, 1, "GG"),) * 2, [
+            ("string", {"genus": 1, "max_level": 4}),
+            ("dilaton", {"genus": 1}), ("trr1", {"n": 0})],
+            id="loop8-double-edge"),
+        pytest.param("loop8", (1, 1, 1), ((0, 0, "GG"),), [
+            ("string", {"genus": 1, "max_level": 4}),
+            ("dilaton", {"genus": 1}), ("trr1", {"n": 0})],
+            id="loop8-level1-loop"),
         pytest.param("cubic6", (2, 0, 0), ((0, 1, "GG"),) * 3,
-                     [("dilaton", {"genus": 2})], id="cubic6-theta")])
+                     [("dilaton", {"genus": 2})], id="cubic6-theta"),
+        pytest.param("cubic6", (2, 0, 0), DUMBBELL,
+                     [("dilaton", {"genus": 2})], id="cubic6-dumbbell"),
+        pytest.param("cubic6", (2, 1, 0), ((0, 1, "GG"),) * 3,
+                     LEVEL1_GENUS2, id="cubic6-level1-theta"),
+        pytest.param("cubic6", (2, 1, 0), DUMBBELL,
+                     LEVEL1_GENUS2, id="cubic6-level1-dumbbell")])
     def test_one_doubled_class_fails(self, request, name, key, edges,
                                      failing):
         alg = request.getfixturevalue(name)
