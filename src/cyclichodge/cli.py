@@ -24,7 +24,7 @@ from .contract import evaluate_graph, oracle_evaluate
 from .graphs import load_graph
 from .poly import format_rational
 from .potentials import PotentialTable, kdv_coefficient
-from .relations import run_battery, run_check
+from .relations import RELATIONS, run_battery, run_check
 
 
 def _load_alg(spec):
@@ -164,8 +164,7 @@ def build_parser():
     p = sub.add_parser("verify", help="check differential identities")
     p.add_argument("--algebra", required=True)
     p.add_argument("--relation", required=True,
-                   choices=["wdvv", "const", "string", "dilaton",
-                            "trr0", "trr1", "trr2", "all"])
+                   choices=[*RELATIONS, "all"])
     p.add_argument("--genus", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--degree", type=int, required=True)

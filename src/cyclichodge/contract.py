@@ -17,8 +17,9 @@ the result does not depend on the choice.
 
 `evaluate_graph` eliminates half-edge variables one at a time over
 sparse factor tables, greedily taking the variable whose merged factor
-is cheapest (`_cheapest` walks each factor once per step), and returns
-zero as soon as a factor, built or summed out, is empty.  It carries the
+is cheapest (`_cheapest` walks each factor once per step) in one chain
+of joins whose last join sums it out, and returns zero as soon as a
+factor, built or summed out, is empty.  It carries the
 Koszul sign as one flip factor over parity bits per inverted half-edge
 pair, built only where both half-edges can carry an odd index (some key
 of their edge or leaf factors puts one there); a half-edge that can only
@@ -70,29 +71,16 @@ class EvalPlan:
 
 
 def make_plan(graph):
-    """Default plan: DFS from vertex 0 along increasing edge ids; tree
-    edges untwisted, every other edge (loops included) twisted."""
+    """Default plan: the graph's traversal (DFS from vertex 0 along
+    increasing edge ids) as the vertex order; its tree edges untwisted,
+    every other edge (loops included) twisted."""
     if not graph.is_connected():
         raise ValueError("plans exist for connected graphs only")
-    seen = {0}
-    order = [0]
-    tree = set()
-    # per vertex on the current path, the rest of its incidences
-    stack = [graph.incident(0)]
-    while stack:
-        for (k, w) in stack[-1]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                tree.add(k)
-                stack.append(graph.incident(w))
-                break
-        else:
-            stack.pop()
+    order, tree = graph.traversal()
     return EvalPlan(
-        vertex_order=tuple(order),
+        vertex_order=order,
         germ_order=graph.germs(),
-        sign_edges=frozenset(k for k in range(graph.n_edges) if k not in tree),
+        sign_edges=frozenset(range(graph.n_edges)).difference(tree),
     )
 
 
@@ -285,14 +273,18 @@ def live_vertex(alg, marks):
 
 def _picker(positions):
     """Function taking a key tuple to the tuple of its entries at
-    `positions` (at least one)."""
+    `positions`."""
+    if not positions:
+        return lambda key: ()
     if len(positions) == 1:
         (p,) = positions
         return lambda key: (key[p],)
     return itemgetter(*positions)
 
 
-def _join(f1, f2):
+def _join(f1, f2, var=None):
+    """The product of two factors; `var`, if given, is left out of the
+    output keys, so it is summed out as the product accumulates."""
     vars1, t1 = f1
     vars2, t2 = f2
     pos2 = {v: i for i, v in enumerate(vars2)}
@@ -302,6 +294,7 @@ def _join(f1, f2):
     # variable order
     where = {v: len(vars1) + i for i, v in enumerate(vars2)}
     where.update((v, i) for i, v in enumerate(vars1))
+    where.pop(var, None)
     out_vars = tuple(sorted(where))
     gather = _picker([where[v] for v in out_vars])
     key1_shared, key2_shared = _picker(shared1), _picker(shared2)
@@ -314,17 +307,6 @@ def _join(f1, f2):
             key = gather(key1 + key2)
             term = val1 * val2
             out[key] = out[key] + term if key in out else term
-    return (out_vars, {k: v for k, v in out.items() if v})
-
-
-def _sum_out(factor, var):
-    vars_, table = factor
-    pos = vars_.index(var)
-    out_vars = vars_[:pos] + vars_[pos + 1:]
-    out = {}
-    for key, val in table.items():
-        k = key[:pos] + key[pos + 1:]
-        out[k] = out[k] + val if k in out else val
     return (out_vars, {k: v for k, v in out.items() if v})
 
 
@@ -449,13 +431,15 @@ def evaluate_graph(alg, graph, plan=None):
         if best is None:
             break
         involved = [f for f in factors if best in f[0]]
-        rest = [f for f in factors if best not in f[0]]
-        summed = _sum_out(reduce(_join, involved), best)
+        factors = [f for f in factors if best not in f[0]]
+        # one join chain, whose last join sums `best` out; a lone factor
+        # is joined with the factor of the empty product
+        head = involved[:-1] or [((), {(): 1})]
+        summed = _join(reduce(_join, head), involved[-1], best)
         if not summed[1]:
             # one factor is zero everywhere, so is the contraction
             return Poly.zero()
-        rest.append(summed)
-        factors = rest
+        factors.append(summed)
     result = prod(table.get((), 0) for _, table in factors)
     return result if isinstance(result, Poly) else Poly.const(result)
 

@@ -49,14 +49,16 @@ class MarkedGraph:
     """Immutable-by-convention marked multigraph.
 
     Immutability backs three caches, each derived once and kept with the
-    graph: the germ lists, the connectivity and the canonical-form sweep.
+    graph: the germ lists, the depth-first traversal and the
+    canonical-form sweep.
     """
 
-    __slots__ = ("n_vertices", "edges", "leaves", "_germs", "_connected",
+    __slots__ = ("n_vertices", "edges", "leaves", "_germs", "_traversal",
                  "_sweep")
 
     def __init__(self, n_vertices, edges, leaves=()):
-        if not isinstance(n_vertices, int) or n_vertices < 1:
+        # type(x) is int: True and False are ints too
+        if type(n_vertices) is not int or n_vertices < 1:
             raise ValueError("need at least one vertex")
         norm_edges = []
         for (u, v, mark) in edges:
@@ -89,7 +91,7 @@ class MarkedGraph:
         self.n_vertices = n_vertices
         self.edges = edges
         self.leaves = leaves
-        self._germs = self._connected = self._sweep = None
+        self._germs = self._traversal = self._sweep = None
 
     # -- half-edge geometry ------------------------------------------------
 
@@ -127,13 +129,6 @@ class MarkedGraph:
             return self.edges[h // 2][2]
         return self.leaves[h - 2 * self.n_edges][1]
 
-    def incident(self, v):
-        """(edge id, far end) for each edge half-edge at v, ids ascending;
-        a loop's two halves both give (id, v)."""
-        edges, n_ends = self.edges, 2 * self.n_edges
-        return ((h // 2, edges[h // 2][1 - h % 2])
-                for h in self.germs()[v] if h < n_ends)
-
     def vertex_profile(self, v):
         """(own_handles, other_germs): IDLOOP count and remaining degree."""
         own = sum(1 for (a, b, mark) in self.edges
@@ -142,21 +137,38 @@ class MarkedGraph:
 
     # -- global invariants --------------------------------------------------
 
-    def is_connected(self):
-        if self._connected is None:
-            seen = {0}
-            # a connected graph has at least V - 1 edges; checking that
-            # first keeps a huge vertex count from building one list per
-            # vertex
+    def traversal(self):
+        """Depth-first traversal from vertex 0 along increasing edge ids:
+        the vertices in the order reached and, for each after the first,
+        the id of the edge that reached it.  It reaches every vertex
+        exactly when the graph is connected; a graph with fewer than
+        V - 1 edges cannot be, and is not walked (so a huge vertex count
+        builds no list per vertex)."""
+        if self._traversal is None:
+            order, tree, seen = [0], [], {0}
             if self.n_edges >= self.n_vertices - 1:
-                stack = [0]
+                edges, germs = self.edges, self.germs()
+                n_ends = 2 * self.n_edges
+                # per vertex on the current path, the rest of its germs
+                stack = [iter(germs[0])]
                 while stack:
-                    for (_, w) in self.incident(stack.pop()):
+                    for h in stack[-1]:
+                        if h >= n_ends:
+                            continue  # a leaf's germ
+                        w = edges[h // 2][1 - h % 2]
                         if w not in seen:
                             seen.add(w)
-                            stack.append(w)
-            self._connected = len(seen) == self.n_vertices
-        return self._connected
+                            order.append(w)
+                            tree.append(h // 2)
+                            stack.append(iter(germs[w]))
+                            break
+                    else:
+                        stack.pop()
+            self._traversal = tuple(order), tuple(tree)
+        return self._traversal
+
+    def is_connected(self):
+        return len(self.traversal()[0]) == self.n_vertices
 
     def genus(self):
         """First Betti number; defined for connected graphs only."""

@@ -55,13 +55,13 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        # two input monomials may sort to the same one: their
+        # coefficients add up, and a sum that cancels is dropped
         clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[_normalize_mono(mono)] = exact(c)
-        self.terms = clean
+        for mono, coeff in (terms or {}).items():
+            mono = _normalize_mono(mono)
+            clean[mono] = clean.get(mono, 0) + Fraction(coeff)
+        self.terms = {m: exact(c) for m, c in clean.items() if c}
 
     @classmethod
     def _clean(cls, terms):

@@ -113,6 +113,35 @@ class TestPlans:
         assert len(plan.sign_edges) == 2
         assert 3 in plan.sign_edges
 
+    def test_traversal_against_union_find(self):
+        # random multigraphs with loops, parallel edges, leaves, isolated
+        # vertices and often fewer than V - 1 edges; union-find over all
+        # edges is the independent connectivity check
+        rng = random.Random(15)
+        connected = 0
+        for _ in range(600):
+            nv = rng.randint(1, 6)
+            edges = [(rng.randrange(nv), rng.randrange(nv), "GG")
+                     for _ in range(rng.randint(0, 8))]
+            leaves = [(rng.randrange(nv), "E0")
+                      for _ in range(rng.randint(0, 3))]
+            g = MarkedGraph(nv, edges, leaves)
+            merges = len(contract._forest_edges(g, range(g.n_edges)))
+            assert g.is_connected() == (merges == nv - 1)
+            order, tree = g.traversal()
+            assert order[0] == 0 and len(set(order)) == len(order)
+            assert len(tree) == len(order) - 1
+            for i, k in enumerate(tree, 1):
+                # the edge that reached order[i] joins it to a vertex
+                # reached before it
+                u, v, _ = g.edges[k]
+                far = {u, v} - {order[i]}
+                assert len(far) == 1 and far <= set(order[:i])
+            if g.is_connected():
+                connected += 1
+                validate_plan(g, make_plan(g))
+        assert 100 < connected < 500
+
     def test_disconnected_rejected(self):
         g = MarkedGraph(2, [])
         with pytest.raises(ValueError):

@@ -87,6 +87,13 @@ class TestBasics:
             with pytest.raises(ValueError):
                 MarkedGraph(1, [], [(0, mark)])
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_rejects_bool_vertex_count(self, count):
+        # bools are ints, but no vertex count: from_json_obj rejects JSON
+        # true and false the same way
+        with pytest.raises(ValueError):
+            MarkedGraph(count, [], [(0, "E0")])
+
     def test_half_edge_geometry(self):
         g = MarkedGraph(2, [(0, 1, "GG"), (1, 1, "GG")], [(0, "E0")])
         assert g.n_half_edges == 5

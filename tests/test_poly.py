@@ -82,6 +82,22 @@ class TestRing:
         assert a == b
         assert a.coefficient([(1, 1), (0, 1), (0, 2)]) == 5
 
+    def test_monomials_sorting_alike_add_up(self):
+        # both keys sort to T_{0,1}*T_{0,2}: the constructor sums their
+        # coefficients rather than keeping the last one
+        p = Poly({((0, 1), (0, 2)): 1, ((0, 2), (0, 1)): 1})
+        assert p.to_text() == "2*T_{0,1}*T_{0,2}"
+        assert p == 2 * T(0, 1) * T(0, 2)
+        mixed = Poly({((0, 2), (0, 1)): "1/2", ((0, 1), (0, 2)): "1/2",
+                      ((0, 1),): 3})
+        assert mixed.terms == {((0, 1), (0, 2)): 1, ((0, 1),): 3}
+        assert int_first(mixed)
+
+    def test_monomials_sorting_alike_may_cancel(self):
+        p = Poly({((0, 1), (0, 2)): 1, ((0, 2), (0, 1)): -1, ((1, 1),): 2})
+        assert p.terms == {((1, 1),): 2}
+        assert Poly({((0, 1), (0, 2)): 1, ((0, 2), (0, 1)): -1}).is_zero()
+
     def test_rejects_bad_variables(self):
         with pytest.raises(ValueError):
             Poly.var(-1, 1)
