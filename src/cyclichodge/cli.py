@@ -77,6 +77,9 @@ def cmd_potential(args):
 def cmd_verify(args):
     alg = _load_alg(args.algebra)
     if args.relation == "all":
+        for name in ("genus", "n"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"all takes no {name}")
         results = run_battery(alg, args.degree, args.degree)
     else:
         results = [run_check(alg, args.relation, args.degree,

@@ -21,20 +21,22 @@ is cheapest (`_cheapest` walks each factor once per step) in one chain
 of joins whose last join sums it out, and returns zero as soon as a
 factor, built or summed out, is empty.  It carries the
 Koszul sign as one flip factor over parity bits per inverted half-edge
-pair, built only where both half-edges can carry an odd index (some key
-of their edge or leaf factors puts one there); a half-edge that can only
-be even flips nothing.
+pair, built only where both half-edges can carry an odd index; a
+half-edge that can only be even flips nothing.
 
 Its constant tensors are built on first use and kept with the algebra
 object (`CHAlgebra.memo`), each holding its exact values, int-first (see
-`graded`): one bivector table per (edge mark, twist), one vertex table
-per arity and one leaf table per leaf mark.  One fold builds every
-vertex table: it multiplies basis vectors left to right over a list of
-allowed indices per slot, drops zero partial products and yields each
-word with a nonzero integral.  Over every index it gives the vertex
-table; over the indices that germs' edge and leaf tables allow it is the
-support rule of class generation (`live_vertex`), which stops at the
-first word it finds.
+`graded`): one bivector table per (edge mark, twist), one leaf table per
+leaf mark, and one vertex table per tuple of germ supports, shared by
+contraction and the support rule.  A germ's support is the ascending
+basis indices its edge slot or leaf table can carry, read off those
+tables; it also tells which half-edges can be odd.  One fold builds the
+vertex table over the supports: it multiplies basis vectors left to
+right, drops zero partial products and yields each word with a nonzero
+integral.  Contraction takes each vertex's table over its germs'
+supports in plan order; the support rule of class generation
+(`live_vertex`) asks whether the table over the supports of some marks
+is nonempty.
 
 `oracle_evaluate` recomputes the same value by brute enumeration of all
 nonzero edge/leaf terms with signs from an explicit bubble sort.  It
@@ -224,19 +226,9 @@ def _fold(alg, supports):
             stack.pop()
 
 
-def _vertex_table(alg, arity):
-    """Sparse table {(i_1,..,i_n): integral(e_i1 * .. * e_in)} over the
-    n = arity germ slots."""
-    return dict(_fold(alg, [range(alg.dim)] * arity))
-
-
 def _edge_tensor(alg, mark, twist):
     return alg.memo(("edge", mark, twist),
                     lambda: bivector(alg, mark_matrix(alg, mark), twist))
-
-
-def _vertex_tensor(alg, arity):
-    return alg.memo(("vertex", arity), lambda: _vertex_table(alg, arity))
 
 
 def _leaf_tensor(alg, mark):
@@ -245,26 +237,25 @@ def _leaf_tensor(alg, mark):
         (i,): val for i, val in leaf_vector(alg, mark).items()})
 
 
-def _support(alg, mark):
-    """The basis indices a germ with this edge or leaf mark can carry in a
-    nonzero term."""
-    if mark in EDGE_MARKS:
-        return {i for key in _edge_tensor(alg, mark, False) for i in key}
-    return {i for (i,) in _leaf_tensor(alg, mark)}
+def _vertex_tensor(alg, supports):
+    """Sparse table {(i_1,..,i_n): integral(e_i1 * .. * e_in)} over the
+    keys with i_s in supports[s], a tuple of ascending basis indices per
+    germ slot."""
+    return alg.memo(("vertex", supports), lambda: dict(_fold(alg, supports)))
 
 
 def live_vertex(alg, marks):
     """Whether some entry of the vertex table fits a vertex whose germs
-    carry these marks (the table is graded-symmetric, so one order of the
-    germs serves): the fold over the germs' supports, stopped at its
-    first word; no table is built."""
-    marks = tuple(sorted(marks))
-
-    def first_word():
-        supports = [sorted(_support(alg, mark)) for mark in marks]
-        return next(_fold(alg, supports), None) is not None
-
-    return alg.memo(("live", marks), first_word)
+    carry these marks: whether its table over the germs' supports, an
+    edge mark's taken over either leg, is nonempty (the table is
+    graded-symmetric, so one order of the germs serves)."""
+    marks = sorted(marks)
+    support = {}
+    for mark in set(marks):
+        table = (_edge_tensor(alg, mark, False) if mark in EDGE_MARKS
+                 else _leaf_tensor(alg, mark))
+        support[mark] = tuple(sorted({i for key in table for i in key}))
+    return bool(_vertex_tensor(alg, tuple(map(support.get, marks))))
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +342,21 @@ def _cheapest(factors, dim, nhe):
 
 
 def _build_factors(alg, graph, plan):
-    """The factor tables of the contraction."""
-    factors = []
-    for v in plan.vertex_order:
-        germs = tuple(plan.germ_order[v])
-        factors.append((germs, _vertex_tensor(alg, len(germs))))
-    for k, (_, _, mark) in enumerate(graph.edges):
-        factors.append(((2 * k, 2 * k + 1),
-                        _edge_tensor(alg, mark, k in plan.sign_edges)))
-    for j, (_, mark) in enumerate(graph.leaves):
-        factors.append(((2 * graph.n_edges + j,), _leaf_tensor(alg, mark)))
-    return factors
+    """The factor tables of the contraction, vertex factors first, and
+    per half-edge the ascending basis indices its edge or leaf table puts
+    there (none where that table is empty)."""
+    factors = [((2 * k, 2 * k + 1),
+                _edge_tensor(alg, mark, k in plan.sign_edges))
+               for k, (_, _, mark) in enumerate(graph.edges)]
+    factors += [((2 * graph.n_edges + j,), _leaf_tensor(alg, mark))
+                for j, (_, mark) in enumerate(graph.leaves)]
+    supports = [()] * graph.n_half_edges
+    for vars_, table in factors:
+        for h, column in zip(vars_, zip(*table)):
+            supports[h] = tuple(sorted(set(column)))
+    germ_lists = [tuple(plan.germ_order[v]) for v in plan.vertex_order]
+    return [(germs, _vertex_tensor(alg, tuple(supports[h] for h in germs)))
+            for germs in germ_lists] + factors, supports
 
 
 def _target_positions(graph, plan):
@@ -372,26 +367,20 @@ def _target_positions(graph, plan):
 _FLIP = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
 
 
-def _sign_factors(alg, graph, plan, factors):
+def _sign_factors(alg, graph, plan, supports):
     """The Koszul flip factors of a contraction over parity bits: one
     (nhe + h, nhe + h2) factor, -1 when both bits are set, per inverted
     half-edge pair (h, h2) at which an odd index can sit.
 
-    Half-edge h can be odd only if some key of its edge or leaf factor
-    (the entries of `factors` after the vertex factors) puts an odd
-    index at h.  A half-edge that can only be even has bit 0, so every
+    Half-edge h can be odd only if its support (`_build_factors`) holds
+    an odd index.  A half-edge that can only be even has bit 0, so every
     flip factor it would touch is identically 1 and none is built.
     """
     par = alg.parity
-    odd = set()
-    for vars_, table in factors[graph.n_vertices:]:
-        for key in table:
-            odd.update(h for h, i in zip(vars_, key) if par[i])
-    if not odd:
-        return []
+    odd = [h for h, support in enumerate(supports)
+           if any(par[i] for i in support)]
     tpos = _target_positions(graph, plan)
     nhe = graph.n_half_edges
-    odd = sorted(odd)
     return [((nhe + h, nhe + h2), _FLIP)
             for a, h in enumerate(odd) for h2 in odd[a + 1:]
             if tpos[h] > tpos[h2]]
@@ -407,7 +396,7 @@ def evaluate_graph(alg, graph, plan=None):
     else:
         validate_plan(graph, plan)
     nhe = graph.n_half_edges
-    factors = _build_factors(alg, graph, plan)
+    factors, supports = _build_factors(alg, graph, plan)
     if not all(table for _, table in factors):
         # an empty table (a GG edge over an algebra with no 4-blocks)
         # makes every term zero
@@ -418,7 +407,7 @@ def evaluate_graph(alg, graph, plan=None):
     # half-edge's index.  Bit variables have domain 2, so the
     # elimination tables stay small where dense (index, index) sign
     # factors would blow up.
-    signs = _sign_factors(alg, graph, plan, factors)
+    signs = _sign_factors(alg, graph, plan, supports)
     factors += signs
     if signs:
         tie = {(i, p): 1 for i, p in enumerate(alg.parity)}

@@ -67,19 +67,19 @@ Given an algebra, a split whose new vertex w is zero there is dropped
 before the canonical test.  Later splits move germs off vertex 0 only,
 so w keeps its three germs for good, and each germ's mark fixes the
 basis indices it can carry: a GG half-edge those on either leg of the
-GG edge table, an E<k> leaf those of H_0.  If no entry of the arity-3
-vertex table fits them, every term of every graph grown from the child
+GG edge table, an E<k> leaf those of H_0.  If the vertex table over
+these supports is empty, every term of every graph grown from the child
 is zero.  The finished vertex 0 takes the same test at its arity.  The
-test is `contract.live_vertex`: the fold that builds the vertex tables,
-run over the germs' supports only and stopped at its first nonzero
-integral, so it builds no vertex table.  The rule keeps every nonzero
-class, since such a class has no zero vertex, and the argument above
-holds under it: contracting a kept class's canonical edge gives a graph
-whose vertices other than vertex 0 are vertices of the class, so its
-class is in the previous layer, and the split that restores the class
-makes one of its vertices, which passes the rule.  Over an algebra with
-no 4-blocks the GG table is empty, so only a rose with no GG loop that
-needs no split is kept.
+test is `contract.live_vertex`, and its tables are the contraction's:
+one vertex table per tuple of germ supports, shared by contraction and
+the support rule.  The rule keeps every nonzero class, since such a
+class has no zero vertex, and the argument above holds under it:
+contracting a kept class's canonical edge gives a graph whose vertices
+other than vertex 0 are vertices of the class, so its class is in the
+previous layer, and the split that restores the class makes one of its
+vertices, which passes the rule.  Over an algebra with no 4-blocks the
+GG table is empty, so only a rose with no GG loop that needs no split
+is kept.
 """
 
 from __future__ import annotations

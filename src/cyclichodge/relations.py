@@ -279,31 +279,34 @@ def check_trr2(alg, n, degree, table=None):
                   [(1, [F(2, n + 2, (n + 2, "a"))], [])], rhs, breakdown=True)
 
 
+# each check by name, with the one parameter it takes besides the degree
 RELATIONS = {
-    "wdvv": ("genus-0", check_wdvv),
-    "const": ("genus-0", check_const_relation),
-    "string": ("per-genus", check_string),
-    "dilaton": ("per-genus", check_dilaton),
-    "trr0": ("per-level", check_trr0),
-    "trr1": ("per-level", check_trr1),
-    "trr2": ("per-level", check_trr2),
+    "wdvv": (None, check_wdvv),
+    "const": (None, check_const_relation),
+    "string": ("genus", check_string),
+    "dilaton": ("genus", check_dilaton),
+    "trr0": ("n", check_trr0),
+    "trr1": ("n", check_trr1),
+    "trr2": ("n", check_trr2),
 }
+_NEEDS = {"genus": "a genus", "n": "an arrow level n"}
 
 
 def run_check(alg, relation, degree, genus=None, n=None, table=None):
-    """Dispatch a single named check with the parameters it needs."""
+    """Dispatch a single named check with the parameter it takes, if any;
+    a missing parameter, or one it does not take, is an error."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    kind, fn = RELATIONS[relation]
-    if kind == "genus-0":
+    takes, fn = RELATIONS[relation]
+    given = {"genus": genus, "n": n}
+    for name, value in given.items():
+        if value is not None and name != takes:
+            raise ValueError(f"{relation} takes no {name}")
+    if takes is None:
         return fn(alg, degree, table=table)
-    if kind == "per-genus":
-        if genus is None:
-            raise ValueError(f"{relation} needs a genus")
-        return fn(alg, genus, degree, table=table)
-    if n is None:
-        raise ValueError(f"{relation} needs an arrow level n")
-    return fn(alg, n, degree, table=table)
+    if given[takes] is None:
+        raise ValueError(f"{relation} needs {_NEEDS[takes]}")
+    return fn(alg, given[takes], degree, table=table)
 
 
 def run_battery(alg, degree_genus0, degree_higher, table=None):

@@ -145,6 +145,22 @@ class TestVerify:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("relation,flags,name", [
+        ("wdvv", ["--genus", "2"], "genus"), ("const", ["--n", "1"], "n"),
+        ("string", ["--genus", "1", "--n", "1"], "n"),
+        ("dilaton", ["--genus", "1", "--n", "1"], "n"),
+        ("trr0", ["--n", "0", "--genus", "1"], "genus"),
+        ("trr2", ["--n", "2", "--genus", "0"], "genus"),
+        ("all", ["--genus", "1"], "genus"), ("all", ["--n", "0"], "n")])
+    def test_flag_it_does_not_take(self, capsys, relation, flags, name):
+        # such a flag used to be dropped: wdvv with --genus 2 printed a
+        # genus-0 pass with exit 0
+        rc = cli.main(["verify", "--algebra", "block6", "--relation",
+                       relation, "--degree", "1", *flags])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {relation} takes no {name}\n"
+
     def test_failure_exit_code(self, monkeypatch, capsys):
         # every shipped algebra satisfies the identities, so flip one
         # result to pin the exit code contract
@@ -238,12 +254,15 @@ class TestBadInput:
         assert err.startswith("error: no such algebra")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("relation", [
-        "wdvv", "const", "string", "dilaton", "trr0", "trr1", "trr2", "all"])
-    def test_negative_degree(self, capsys, relation):
+    @pytest.mark.parametrize("relation,flags", [
+        pytest.param(relation, flags, id=relation) for relation, flags in [
+            ("wdvv", []), ("const", []), ("string", ["--genus", "1"]),
+            ("dilaton", ["--genus", "1"]), ("trr0", ["--n", "1"]),
+            ("trr1", ["--n", "1"]), ("trr2", ["--n", "1"]), ("all", [])]])
+    def test_negative_degree(self, capsys, relation, flags):
         # wdvv and const used to pass vacuously on an empty window
         rc = cli.main(["verify", "--algebra", "dual2", "--relation", relation,
-                       "--degree", "-1", "--genus", "1", "--n", "1"])
+                       "--degree", "-1", *flags])
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""

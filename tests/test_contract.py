@@ -1,6 +1,9 @@
 """Graph contraction: anchors, plan independence, engine vs oracle."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -232,6 +235,29 @@ class TestWideVertices:
             plan = random_plan(graph, rng)
             assert evaluate_graph(block6, graph, plan) == value, repr(graph)
 
+    def test_thirteen_germ_vertex_in_bounded_memory(self, block6, tmp_path):
+        # every slot of the vertex table used to range over every index:
+        # this 13-germ vertex built tables of about 1.7M entries (835 MB,
+        # 7 s); over its germs' supports it takes a few MB
+        obj = {"vertices": 2,
+               "edges": [[1, 2, "ID"], [1, 1, "ID"], [1, 1, "ID"],
+                         [1, 2, "ID"]],
+               "leaves": [[1, "B5"], [1, "B2"], [1, "B6"], [1, "B3"],
+                          [1, "B5"], [1, "B6"], [1, "B5"]]}
+        assert oracle_evaluate(
+            block6, MarkedGraph.from_json_obj(obj)).is_zero()
+        path = tmp_path / "vertex13.json"
+        path.write_text(json.dumps(obj))
+        capped = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (512 << 20,) * 2)\n"
+                  "from cyclichodge.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, "eval", "--algebra", "block6",
+             "--graph", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
     def test_thousand_unit_leaves(self, trivial):
         # 1,100 UNIT leaves on one vertex: every step ties on cost, and
         # each step walks the one wide factor once, not once per variable
@@ -277,6 +303,7 @@ class TestTensorCache:
         assert scaled_edges >= 3
 
     def test_tables_built_once_per_key(self, block6, monkeypatch):
+        # one vertex table per tuple of germ supports: `_fold` fills each
         builds = {"edge": 0, "vertex": 0, "leaf": 0}
 
         def counted(kind, fn):
@@ -287,8 +314,8 @@ class TestTensorCache:
 
         monkeypatch.setattr(contract, "mark_matrix",
                             counted("edge", contract.mark_matrix))
-        monkeypatch.setattr(contract, "_vertex_table",
-                            counted("vertex", contract._vertex_table))
+        monkeypatch.setattr(contract, "_fold",
+                            counted("vertex", contract._fold))
         monkeypatch.setattr(contract, "leaf_vector",
                             counted("leaf", contract.leaf_vector))
         alg = parse_algebra(block6.to_json_obj(), name="block6")
@@ -296,13 +323,36 @@ class TestTensorCache:
         run_battery(alg, 2, 2, table=table)
         graphs = [cls.graph for key in sorted(table.keys)
                   for cls in table.classes(*key)]
+
+        def germ_supports(graph, plan):
+            # per vertex, the indices each germ's edge slot or leaf table
+            # carries, from the module's own (unpatched) functions
+            ne = graph.n_edges
+
+            def support(h):
+                if h < 2 * ne:
+                    k, leg = divmod(h, 2)
+                    mat = mark_matrix(alg, graph.edges[k][2])
+                    biv = bivector(alg, mat, k in plan.sign_edges)
+                    return tuple(sorted({key[leg] for key in biv}))
+                mark = graph.leaves[h - 2 * ne][1]
+                return tuple(sorted(leaf_vector(alg, mark)))
+
+            return {tuple(map(support, plan.germ_order[v]))
+                    for v in plan.vertex_order}
+
         keys = {"edge": set(), "vertex": set(), "leaf": set()}
         for graph in graphs:
             plan = make_plan(graph)
             keys["edge"].update((mark, k in plan.sign_edges)
                                 for k, (_, _, mark) in enumerate(graph.edges))
-            keys["vertex"].update(len(germs) for germs in plan.germ_order)
+            keys["vertex"].update(germ_supports(graph, plan))
             keys["leaf"].update(mark for _, mark in graph.leaves)
+        # the unpruned table runs no support rule, so contraction alone
+        # asks for vertex tables: one build for each tuple of supports
+        assert {key[1] for key in alg._memo if key[0] == "vertex"} \
+            == keys["vertex"]
+        assert builds["vertex"] == len(keys["vertex"])
         for kind in builds:
             assert 0 < builds[kind] <= len(keys[kind]), kind
         # a second pass builds nothing
@@ -345,8 +395,8 @@ def inverted_pairs(graph, plan):
 
 
 def sign_factors(alg, graph, plan):
-    factors = _build_factors(alg, graph, plan)
-    return _sign_factors(alg, graph, plan, factors)
+    _, supports = _build_factors(alg, graph, plan)
+    return _sign_factors(alg, graph, plan, supports)
 
 
 def term_graph(rng, alg, marks):

@@ -4,18 +4,20 @@ oracle.
 
 Dropped graphs are evaluated by `oracle_evaluate` where they have at most
 nine half-edges and by `evaluate_graph` elsewhere, over the oracle grid
-g <= 2, n <= 4, L <= 4 of `tests/test_class_weights.py`.  The rule's
-test and the vertex tables come from one fold, checked against the full
-tables and against `integrate_basis_word`.
+g <= 2, n <= 4, L <= 4 of `tests/test_class_weights.py`.  There is one
+vertex table per tuple of germ supports, shared by contraction and the
+support rule; each is checked against the full table and against
+`integrate_basis_word`.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from cyclichodge import contract, potentials
-from cyclichodge.builtin import load_builtin
+from cyclichodge.builtin import BUILTIN_NAMES, load_builtin
 from cyclichodge.contract import (bivector, evaluate_graph, leaf_vector,
                                   live_vertex, mark_matrix, oracle_evaluate)
 from cyclichodge.poly import Poly
@@ -118,21 +120,35 @@ def test_live8_keeps_its_gg_tree(live8):
     assert tree.weight == Fraction(1, 8)
 
 
-def test_rule_builds_no_vertex_table():
-    # the rule folds products over each germ's support only, so the
-    # vertex tables the battery builds are those its kept classes use
+def test_vertex_tables_keyed_by_supports(monkeypatch):
+    # contraction and the support rule share one vertex memo: every key
+    # is a tuple of germ supports, each the ascending indices that an
+    # edge table puts on one leg or on either, or a leaf table carries,
+    # and a battery builds each key's table once
     alg = load_builtin("block6")
-    arities = set()
+    built = []
+    fold = contract._fold
 
-    class Recording(PotentialTable):
-        def classes(self, g, n, ell):
-            out = super().classes(g, n, ell)
-            arities.update(len(at) for cls in out for at in cls.graph.germs())
-            return out
+    def counted(alg, supports):
+        built.append(supports)
+        return fold(alg, supports)
 
-    assert all(r.ok for r in run_battery(alg, 2, 2, table=Recording(alg)))
-    built = {key[1] for key in alg._memo if key[:1] == ("vertex",)}
-    assert built and built <= arities, (built, arities)
+    monkeypatch.setattr(contract, "_fold", counted)
+    assert all(r.ok for r in run_battery(alg, 2, 2))
+    keys = {key[1] for key in alg._memo if key[:1] == ("vertex",)}
+    assert keys and len(built) == len(set(built)) and set(built) == keys
+    slots = set()
+    for key, table in alg._memo.items():
+        if key[0] == "edge":
+            slots.update(tuple(sorted({k[leg] for k in table}))
+                         for leg in (0, 1))
+            slots.add(tuple(sorted({i for k in table for i in k})))
+        elif key[0] == "leaf":
+            slots.add(tuple(sorted(i for (i,) in table)))
+    assert all(type(slot) is tuple and slot in slots
+               for supports in keys for slot in supports), keys - slots
+    run_battery(alg, 2, 2)
+    assert len(built) == len(keys)
 
 
 @pytest.mark.parametrize("name",
@@ -148,7 +164,8 @@ def test_one_fold_builds_tables_and_rule(request, name):
     support.update((m, set(leaf_vector(alg, m))) for m in ("E0", "E1"))
     answers = set()
     for arity in range(6):
-        table = contract._vertex_table(alg, arity)
+        # the full table is the one over every index in every slot
+        table = contract._vertex_tensor(alg, (tuple(range(alg.dim)),) * arity)
         assert all(len(key) == arity for key in table)
         if arity <= 4:
             for key, value in table.items():
@@ -167,3 +184,23 @@ def test_one_fold_builds_tables_and_rule(request, name):
             assert live_vertex(alg, germs) == fits, germs
             answers.add(fits)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_tables_over_random_supports(name):
+    # the table over some supports is the full table restricted to them:
+    # it holds exactly the words over the supports that
+    # integrate_basis_word finds nonzero
+    alg = load_builtin(name)
+    rng = random.Random(name)
+    for arity in range(5):
+        full = contract._vertex_tensor(alg, (tuple(range(alg.dim)),) * arity)
+        for _ in range(4):
+            supports = tuple(tuple(sorted(rng.sample(
+                range(alg.dim), rng.randint(0, alg.dim))))
+                for _ in range(arity))
+            table = contract._vertex_tensor(alg, supports)
+            assert table == {key: value for key, value in full.items()
+                             if all(map(tuple.__contains__, supports, key))}
+            for word in product(*supports):
+                assert table.get(word, 0) == alg.integrate_basis_word(word)
