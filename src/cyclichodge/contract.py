@@ -344,7 +344,9 @@ def _cheapest(factors, dim, nhe):
 def _build_factors(alg, graph, plan):
     """The factor tables of the contraction, vertex factors first, and
     per half-edge the ascending basis indices its edge or leaf table puts
-    there (none where that table is empty)."""
+    there (none where that table is empty).  When an edge or leaf table
+    is empty the contraction is zero, and no vertex table is looked up
+    (the first lookup of one builds it)."""
     factors = [((2 * k, 2 * k + 1),
                 _edge_tensor(alg, mark, k in plan.sign_edges))
                for k, (_, _, mark) in enumerate(graph.edges)]
@@ -354,6 +356,8 @@ def _build_factors(alg, graph, plan):
     for vars_, table in factors:
         for h, column in zip(vars_, zip(*table)):
             supports[h] = tuple(sorted(set(column)))
+    if not all(table for _, table in factors):
+        return factors, supports
     germ_lists = [tuple(plan.germ_order[v]) for v in plan.vertex_order]
     return [(germs, _vertex_tensor(alg, tuple(supports[h] for h in germs)))
             for germs in germ_lists] + factors, supports

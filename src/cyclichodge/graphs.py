@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from itertools import permutations
 from math import factorial
 
 EDGE_MARKS = ("GG", "IDLOOP", "ID", "PI0", "QGP", "GPQ", "GP", "GM")
@@ -49,8 +48,8 @@ class MarkedGraph:
     """Immutable-by-convention marked multigraph.
 
     Immutability backs three caches, each derived once and kept with the
-    graph: the germ lists, the depth-first traversal and the
-    canonical-form sweep.
+    graph: the germ lists, the depth-first traversal and the search for
+    the canonical form.
     """
 
     __slots__ = ("n_vertices", "edges", "leaves", "_germs", "_traversal",
@@ -82,7 +81,7 @@ class MarkedGraph:
     def _checked(cls, n_vertices, edges, leaves):
         """A graph from tuples that already pass the constructor's checks
         and are normalised (each edge's lesser end first): a split child
-        built from its parent, or the sweep's representative."""
+        built from its parent, or the search's representative."""
         graph = cls.__new__(cls)
         graph._set(n_vertices, edges, leaves)
         return graph
@@ -187,42 +186,19 @@ class MarkedGraph:
             [(perm[u], perm[v], m) for (u, v, m) in self.edges],
             [(perm[v], m) for (v, m) in self.leaves])
 
-    def _refined_classes(self, leaf_marks, loop_marks, adjacent):
-        """1-dimensional color refinement; returns the classes by rank.
-
-        Ranks are comparable across isomorphic graphs: each round sorts
-        the (previous rank, neighborhood multiset) signatures and
-        renumbers, and the signatures are built only from marks and
-        previous ranks.  A round only splits cells, keeping their order,
-        so one that leaves the cell count alone changes no rank: the
-        refinement stops there, or once every cell is one vertex.
-        `adjacent[v]` lists the (mark, endpoint) of each non-loop edge
-        at v.
-        """
-        V = self.n_vertices
-        ranks, cells = _compress(list(zip(leaf_marks, loop_marks)))
-        while cells < V:
-            sig = [(ranks[v], tuple(sorted((mark, ranks[x])
-                                           for (mark, x) in adjacent[v])))
-                   for v in range(V)]
-            new_ranks, new_cells = _compress(sig)
-            if new_cells == cells:
-                break
-            ranks, cells = new_ranks, new_cells
-        classes = [[] for _ in range(cells)]
-        for v in range(V):
-            classes[ranks[v]].append(v)
-        return classes
-
     def _least_encoding(self):
-        """One sweep over the refined orderings, kept with this graph.
+        """One search of the individualization-refinement tree (McKay,
+        Congr. Numer. 30 (1981)), kept with this graph.
 
-        The sweep keeps the least encoding, the first ordering that
-        reaches it (the canonical representative's vertex i is its i-th
-        vertex), and for each ordering that reaches it the vertex
-        permutation taking the first one to it.  Two orderings reach the
-        same encoding exactly when that permutation preserves the marked
-        structure, so these are the vertex automorphisms, each once, the
+        The root is the color-refined partition of the vertices.  Each
+        vertex of a node's first cell of two or more makes a child: it
+        takes a rank of its own, before the rest of its cell, and the
+        partition is refined.  A leaf, every cell one vertex, is an
+        ordering, and an isomorphism maps leaves to leaves.  The search
+        keeps the least encoding of a leaf, the first leaf reaching it
+        (the canonical representative's vertex i is its i-th vertex), and
+        the permutation from it to each leaf reaching it, which keeps the
+        marked structure: the vertex automorphisms, each once, the
         identity first.
         """
         if self._sweep is None:
@@ -244,28 +220,44 @@ class MarkedGraph:
                 adjacent[v].append((mark, u))
         leaf_marks = [tuple(sorted(marks)) for marks in leaf_marks]
         loop_marks = [tuple(sorted(marks)) for marks in loop_marks]
-        classes = self._refined_classes(leaf_marks, loop_marks, adjacent)
         best, reaching = None, []
-        newid = [0] * V
-        for order in _orderings(classes):
-            for i, v in enumerate(order):
-                newid[v] = i
-            encoding = (V, tuple((leaf_marks[v],) for v in order),
-                        tuple(sorted((min(newid[u], newid[v]),
-                                      max(newid[u], newid[v]), m)
-                                     for (u, v, m) in self.edges)))
-            if best is None or encoding < best:
-                best, reaching = encoding, [order]
-            elif encoding == best:
-                reaching.append(order)
+
+        def search(ranks, cells):
+            # depth first, least vertex first; a node has two or more
+            # children, so no search that ends meets the recursion limit
+            nonlocal best, reaching
+            if cells == V:
+                # the leaf marks by position are the root cells', so
+                # leaves differ in their edges only
+                encoding = sorted(
+                    (ranks[u], ranks[v], m) if ranks[u] < ranks[v]
+                    else (ranks[v], ranks[u], m) for (u, v, m) in self.edges)
+                if best is None or encoding < best:
+                    best, reaching = encoding, []
+                if encoding == best:
+                    reaching.append(sorted(range(V), key=ranks.__getitem__))
+                return
+            sizes = Counter(ranks)
+            r = min(x for x, size in sizes.items() if size > 1)
+            for v in [u for u in range(V) if ranks[u] == r]:
+                child = [x + (x >= r) for x in ranks]
+                child[v] = r
+                # the partition was equitable, so no cell splits unless
+                # a neighbour of v shares its cell with another vertex
+                if any(sizes[ranks[x]] - (ranks[x] == r) > 1
+                       for (_, x) in adjacent[v]):
+                    search(*_refined(child, cells + 1, adjacent))
+                else:
+                    search(child, cells + 1)
+
+        search(*_refined(*_compress(list(zip(leaf_marks, loop_marks))),
+                         adjacent))
         first = reaching[0]
-        automorphisms = []
-        for order in reaching:
-            perm = [0] * V
-            for v, image in zip(first, order):
-                perm[v] = image
-            automorphisms.append(tuple(perm))
-        return best, tuple(first), tuple(automorphisms)
+        encoding = (V, tuple((leaf_marks[v],) for v in first), tuple(best))
+        # the permutations taking first[i] to order[i], for each i
+        where = sorted(range(V), key=first.__getitem__)
+        return encoding, tuple(first), tuple(tuple(order[i] for i in where)
+                                             for order in reaching)
 
     def canonical_form(self):
         """Isomorphism-invariant string key (same key iff same marked graph
@@ -304,7 +296,7 @@ class MarkedGraph:
         """Order of the automorphism group acting on half-edges.
 
         The vertex permutations preserving the marked structure (counted
-        by the canonical-form sweep), times the stabilizer lifts: k! for
+        by the canonical-form search), times the stabilizer lifts: k! for
         k parallel equal-mark edges, 2^l l! for l equal-mark loops at a
         vertex, k! for k equal-mark leaves at a vertex.
         """
@@ -367,24 +359,28 @@ def _compress(sig):
     return [order[s] for s in sig], len(order)
 
 
-def _orderings(cells):
-    """Each ordering of the vertices that orders every cell and keeps the
-    cells in sequence, in the order product(*map(permutations, cells))
-    gives, built one at a time: product would first hold all k!
-    orderings of a k-vertex cell."""
-    last = len(cells) - 1
-    # one entry per cell begun: the rest of its orderings and the
-    # ordering of the cells before it
-    stack = [(permutations(cells[0]), ())]
-    while stack:
-        perms, head = stack[-1]
-        for perm in perms:
-            if len(stack) <= last:
-                stack.append((permutations(cells[len(stack)]), head + perm))
-                break
-            yield head + perm
-        else:
-            stack.pop()
+def _refined(ranks, cells, adjacent):
+    """1-dimensional color refinement of an ordered partition: each
+    vertex's rank (the place of its cell) and the number of cells.
+
+    Ranks are comparable across isomorphic graphs: each round sorts the
+    (previous rank, neighborhood multiset) signatures and renumbers, and
+    the signatures are built only from marks and previous ranks.  A
+    round only splits cells, keeping their order, so one that leaves the
+    cell count alone changes no rank: the refinement stops there, or
+    once every cell is one vertex.  `adjacent[v]` lists the (mark,
+    endpoint) of each non-loop edge at v.
+    """
+    V = len(ranks)
+    while cells < V:
+        sig = [(ranks[v], tuple(sorted((mark, ranks[x])
+                                       for (mark, x) in adjacent[v])))
+               for v in range(V)]
+        new_ranks, new_cells = _compress(sig)
+        if new_cells == cells:
+            break
+        ranks, cells = new_ranks, new_cells
+    return ranks, cells
 
 
 def _is_entry(ent, width):
@@ -399,6 +395,8 @@ def load_graph(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError("invalid JSON: nested too deeply") from None
     return MarkedGraph.from_json_obj(obj)

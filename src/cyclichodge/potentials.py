@@ -50,7 +50,7 @@ canonical, and no graph is deduplicated.  There are two rules:
 The canonical edge has the greatest local invariant (its multiplicity,
 and the leaves and loops at its ends), and among ties the ends first in
 the canonical ordering; both are isomorphism-invariant, and only a tie
-takes a sweep.
+takes the canonical-form search.
 
 Each layer then holds one graph per class, by induction.  Complete:
 contracting a class's canonical edge gives a graph of the previous
@@ -186,8 +186,8 @@ def _canonical(graph):
     once vertex 0 is trivalent with only GG and E0 germs.  The canonical
     one has the greatest local invariant (its multiplicity, and the
     leaves and loops at its ends), and among ties the ends first in the
-    canonical ordering; so only a tie takes a sweep.  A rose, made by no
-    split, is canonical.
+    canonical ordering; so only a tie takes the canonical-form search.
+    A rose, made by no split, is canonical.
     """
     V = graph.n_vertices
     if V == 1:
@@ -234,7 +234,7 @@ def _classes(roses, valid, alg):
     for rose, splits in roses:
         # a graph takes the canonical test only when it is split or
         # finished, after the finished vertex 0's test, which is cheaper
-        # than the sweep of a tie
+        # than the search of a tie
         layer = [rose]
         for _ in range(splits):
             layer = (child for graph in layer if _canonical(graph)

@@ -23,7 +23,7 @@ import pytest
 
 from cyclichodge.potentials import enumerate_desc, enumerate_sm
 
-MAX_VERTICES, MAX_LEAVES = 7, 5
+MAX_VERTICES, MAX_LEAVES = 8, 5
 
 
 def moment(k):
@@ -86,6 +86,10 @@ def descendant_weight(g, n, L):
 
 PIECES = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
           if n or 2 * g - 2 + L >= 1] + [(2, 0, 5)]
+# primary pieces with V <= 8 at genus 3-5; the leafless ones include
+# regular graphs that color refinement cannot split at all
+PIECES += [(3, 0, L) for L in range(5)] + [(4, 0, L) for L in range(3)]
+PIECES += [(5, 0, 0)]
 
 
 def test_oracle_anchors():
@@ -94,6 +98,9 @@ def test_oracle_anchors():
     assert primary_weight(0, 3) == Fraction(1, 6)
     assert descendant_weight(1, 1, 0) == Fraction(1, 24)
     assert primary_weight(2, 5) == Fraction(1155, 64)
+    # the 71 connected cubic multigraphs on 8 vertices (OEIS A005967)
+    assert primary_weight(5, 0) == Fraction(565, 128)
+    assert len(enumerate_sm(5, 0)) == 71
 
 
 @pytest.mark.parametrize("g,n,L", PIECES,

@@ -312,6 +312,19 @@ class TestBadInput:
         assert out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("kind", ["graph", "algebra"])
+    def test_invalid_json(self, tmp_path, graph_file, kind):
+        # a graph file used to report the decoder's message alone
+        path = tmp_path / "bad.json"
+        path.write_text("not json")
+        graph = str(path) if kind == "graph" else graph_file
+        algebra = str(path) if kind == "algebra" else "trivial"
+        rc, out, err = run_cli("eval", "--algebra", algebra, "--graph", graph)
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: invalid JSON: Expecting value: "
+                       "line 1 column 1 (char 0)\n")
+
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli("frobnicate")
         assert rc == 2

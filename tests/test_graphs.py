@@ -206,6 +206,10 @@ class TestAutomorphisms:
                 graphs.append(cls.graph.relabel(perm))
         graphs += [random_connected_graph(rng, 2, max_vertices=4)
                    for _ in range(40)]
+        # twins: a centre carrying E1, with five E0 cherries
+        graphs.append(MarkedGraph(
+            6, [(0, c, "GG") for c in range(1, 6)],
+            [(0, "E1")] + [(c, "E0") for c in range(1, 6) for _ in "ab"]))
         graphs += [g.canonical_graph() for g in graphs]
         for g in graphs:
             perms = g.vertex_automorphisms()
@@ -218,6 +222,27 @@ class TestAutomorphisms:
             assert len(perms) * lifts(g) == brute_automorphisms(g), g
             assert g.automorphism_order() == brute_automorphisms(g), g
         assert max(len(g.vertex_automorphisms()) for g in graphs) >= 4
+
+    def test_cycle_refinement_cannot_split(self):
+        # color refinement leaves the 12 vertices of a GG cycle with one
+        # E0 leaf each in one cell; the search tree individualizes one
+        # vertex and then one of its neighbours, so it visits 24 leaves,
+        # not the 12! orderings of that cell
+        n = 12
+        cycle = MarkedGraph(n, [(v, (v + 1) % n, "GG") for v in range(n)],
+                            [(v, "E0") for v in range(n)])
+        assert cycle.automorphism_order() == 24
+        dihedral = sorted(tuple((s * v + r) % n for v in range(n))
+                          for r in range(n) for s in (1, -1))
+        assert sorted(cycle.vertex_automorphisms()) == dihedral
+        key, rep = cycle.canonical_form(), cycle.canonical_graph()
+        rng = random.Random(59)
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = cycle.relabel(perm)
+            assert relabeled.canonical_form() == key
+            assert relabeled.canonical_graph() == rep
 
 
 class TestValidity:
