@@ -196,10 +196,21 @@ class MarkedGraph:
         partition is refined.  A leaf, every cell one vertex, is an
         ordering, and an isomorphism maps leaves to leaves.  The search
         keeps the least encoding of a leaf, the first leaf reaching it
-        (the canonical representative's vertex i is its i-th vertex), and
-        the permutation from it to each leaf reaching it, which keeps the
-        marked structure: the vertex automorphisms, each once, the
-        identity first.
+        (the canonical representative's vertex i is its i-th vertex) and
+        the first leaf of all.
+
+        A later leaf with the first leaf's encoding gives a vertex
+        automorphism, position i of the first leaf to position i of this
+        one.  It fixes the vertices individualized above the node where
+        the two paths part and maps the first path's child there onto this
+        leaf's ancestor, so it maps the subtree searched first onto that
+        child's, and the search under that child ends.  At a node of the
+        first path, the first child and the children that found an
+        automorphism are the orbit of the first child's vertex under the
+        automorphisms fixing the vertices individualized above it; the
+        group's order is the product of these orbit sizes (orbit-
+        stabilizer), and the automorphisms found generate the group.  The
+        search keeps them and the order, not the group.
         """
         if self._sweep is None:
             self._sweep = self._sweep_orderings()
@@ -220,44 +231,48 @@ class MarkedGraph:
                 adjacent[v].append((mark, u))
         leaf_marks = [tuple(sorted(marks)) for marks in leaf_marks]
         loop_marks = [tuple(sorted(marks)) for marks in loop_marks]
-        best, reaching = None, []
+        # the first leaf's encoding and ranks, and the least leaf's
+        first = best = least = None
+        automorphisms, order = [], 1
 
         def search(ranks, cells):
             # depth first, least vertex first; a node has two or more
-            # children, so no search that ends meets the recursion limit
-            nonlocal best, reaching
+            # children, so no search that ends meets the recursion limit.
+            # True when an automorphism ends the search under this node
+            nonlocal first, best, least, order
             if cells == V:
                 # the leaf marks by position are the root cells', so
                 # leaves differ in their edges only
                 encoding = sorted(
                     (ranks[u], ranks[v], m) if ranks[u] < ranks[v]
                     else (ranks[v], ranks[u], m) for (u, v, m) in self.edges)
-                if best is None or encoding < best:
-                    best, reaching = encoding, []
-                if encoding == best:
-                    reaching.append(sorted(range(V), key=ranks.__getitem__))
-                return
+                if first is None:
+                    first = best, least = encoding, ranks
+                elif encoding == first[0]:
+                    at = sorted(range(V), key=ranks.__getitem__)
+                    automorphisms.append(tuple(at[r] for r in first[1]))
+                    return True
+                elif encoding < best:
+                    best, least = encoding, ranks
+                return False
+            on_first_path = first is None
             sizes = Counter(ranks)
             r = min(x for x, size in sizes.items() if size > 1)
+            found = 0
             for v in [u for u in range(V) if ranks[u] == r]:
                 child = [x + (x >= r) for x in ranks]
                 child[v] = r
-                # the partition was equitable, so no cell splits unless
-                # a neighbour of v shares its cell with another vertex
-                if any(sizes[ranks[x]] - (ranks[x] == r) > 1
-                       for (_, x) in adjacent[v]):
-                    search(*_refined(child, cells + 1, adjacent))
-                else:
-                    search(child, cells + 1)
+                found += search(*_refined(child, cells + 1, adjacent))
+                if found and not on_first_path:
+                    return True
+            order *= 1 + found
+            return False
 
         search(*_refined(*_compress(list(zip(leaf_marks, loop_marks))),
                          adjacent))
-        first = reaching[0]
-        encoding = (V, tuple((leaf_marks[v],) for v in first), tuple(best))
-        # the permutations taking first[i] to order[i], for each i
-        where = sorted(range(V), key=first.__getitem__)
-        return encoding, tuple(first), tuple(tuple(order[i] for i in where)
-                                             for order in reaching)
+        ordering = tuple(sorted(range(V), key=least.__getitem__))
+        encoding = (V, tuple((leaf_marks[v],) for v in ordering), tuple(best))
+        return encoding, ordering, tuple(automorphisms), order
 
     def canonical_form(self):
         """Isomorphism-invariant string key (same key iff same marked graph
@@ -267,30 +282,34 @@ class MarkedGraph:
     def canonical_graph(self):
         """The isomorphism class's canonical representative: vertices in
         the order of the least encoding, edges and leaves sorted."""
-        encoding, first, automorphisms = self._least_encoding()
-        n_vertices, verts, edges = encoding
+        n_vertices, verts, edges = self._least_encoding()[0]
         # the encoding holds this graph's marks, each edge lesser end
         # first, so the representative passes every check already
-        rep = MarkedGraph._checked(
+        return MarkedGraph._checked(
             n_vertices, edges,
             tuple((v, m) for v, (marks,) in enumerate(verts) for m in marks))
-        # the representative has the same least encoding, reached first
-        # by the identity; its automorphisms are these conjugated by first
-        position = {v: i for i, v in enumerate(first)}
-        rep._sweep = (encoding, tuple(range(n_vertices)),
-                      tuple(tuple(position[perm[v]] for v in first)
-                            for perm in automorphisms))
-        return rep
 
     def canonical_ordering(self):
         """The vertices in the order of the canonical representative: its
         vertex i is the i-th."""
         return self._least_encoding()[1]
 
-    def vertex_automorphisms(self):
-        """The vertex permutations preserving the marked structure, as
-        tuples p renaming vertex v to p[v]; the identity first."""
-        return self._least_encoding()[2]
+    def orbits(self, keys, image):
+        """An orbit id per key under the vertex automorphisms: two keys
+        get the same id exactly when they share an orbit.  `image(p, key)`
+        is the key that the vertex permutation p (renaming vertex v to
+        p[v]) maps key to.  One breadth-first pass applies the
+        automorphisms the search found, which generate the group, so it
+        also reaches images that are not among the keys."""
+        generators, ids = self._least_encoding()[2], {}
+        for key in keys:
+            if key not in ids:
+                ids[key], queue = len(ids), [key]
+                for x in queue:
+                    for y in {image(p, x) for p in generators} - ids.keys():
+                        ids[y] = ids[key]
+                        queue.append(y)
+        return [ids[key] for key in keys]
 
     def automorphism_order(self):
         """Order of the automorphism group acting on half-edges.
@@ -300,14 +319,14 @@ class MarkedGraph:
         k parallel equal-mark edges, 2^l l! for l equal-mark loops at a
         vertex, k! for k equal-mark leaves at a vertex.
         """
-        (_, verts, edges), _, automorphisms = self._least_encoding()
+        (_, verts, edges), _, _, order = self._least_encoding()
         lifts = 1
         for (u, v, _), c in Counter(edges).items():
             lifts *= factorial(c) * (2 ** c if u == v else 1)
         for (marks,) in verts:
             for c in Counter(marks).values():
                 lifts *= factorial(c)
-        return len(automorphisms) * lifts
+        return order * lifts
 
     # -- serialization --------------------------------------------------------
 

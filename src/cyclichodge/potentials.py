@@ -23,14 +23,20 @@ depends on the labeling (one sign factor per inverted pair of
 half-edges that can both be odd), so it must not follow generation.
 
 A graph is split once per orbit of such pairs under its vertex
-automorphisms that fix vertex 0.  Each germ is named by its far end: the
-neighbour of a GG edge, vertex 0 for a GG loop end, none for a leaf.  Two
-pairs share an orbit when one such automorphism maps the far ends of one
+automorphisms, and every one of them fixes vertex 0: a graph that is
+split has every vertex but 0 trivalent, since each split makes w
+trivalent and later splits move germs off vertex 0 only, while vertex 0
+carries the arrow or, still holding the germs that later splits move
+off, has degree 4 or more.  Each germ is named by its far end: the
+neighbour of a GG edge, vertex 0 for a GG loop end, none for a leaf.
+Two pairs share an orbit when an automorphism maps the far ends of one
 onto those of the other and either both or neither are the two ends of
-one loop.  The vertex map then lifts to a half-edge automorphism taking
-one pair to the other, since parallel GG edges, GG loops, the ends of a
-loop and the E0 leaves at a vertex can each be permuted freely; so the
-two children are isomorphic, and keeping one loses no class.
+one loop; `MarkedGraph.orbits` reads this from the automorphisms that
+generate the group.  The vertex map then lifts to a half-edge
+automorphism taking one pair to the other, since parallel GG edges, GG
+loops, the ends of a loop and the E0 leaves at a vertex can each be
+permuted freely; so the two children are isomorphic, and keeping one
+loses no class.
 
 Each class is built once, by canonical augmentation (McKay, J.
 Algorithms 26 (1998)): a child is kept only if its new edge {0, w} is
@@ -114,65 +120,57 @@ def _split(graph, alg):
     """One graph for each orbit of unordered pairs of GG half-edges or E0
     leaves at vertex 0, moved off vertex 0 onto a new vertex w joined to
     vertex 0 by GG; given an algebra, only those whose w can be nonzero
-    over it.  When vertex 0 has four germs, all of them such, the child
-    is trivalent and a pair and its complement give the same class, so
-    there is one graph for each orbit of {pair, complement}."""
+    over it.  A pair is named by the far ends of its germs and whether
+    they are the two ends of a loop, and its orbit is that name's orbit
+    under the graph's automorphisms, which all fix vertex 0.  When vertex
+    0 has four germs, all of them such, the child is trivalent and a pair
+    and its complement give the same class, so there is one graph for
+    each orbit of {pair, complement}."""
     w = graph.n_vertices
-    # a germ is (table, entry, slot, mark, end): table 0 holds edges,
-    # table 1 leaves; end is the vertex at the germ's far end (0 for a
-    # loop), -1 for a leaf
-    germs = [(0, e, slot, "GG", edge[1 - slot])
+    # a germ is (table, entry, mark, end): table 0 holds edges, table 1
+    # leaves; end is the vertex at the germ's far end (0 for a loop), -1
+    # for a leaf
+    germs = [(0, e, "GG", edge[1 - slot])
              for e, edge in enumerate(graph.edges)
              if edge[2] == "GG" for slot in (0, 1) if edge[slot] == 0]
-    germs += [(1, j, 0, "E0", -1) for j, leaf in enumerate(graph.leaves)
+    germs += [(1, j, "E0", -1) for j, leaf in enumerate(graph.leaves)
               if leaf == (0, "E0")]
-    fixing = [p for p in graph.vertex_automorphisms() if p[0] == 0]
 
-    def raw(pair):
+    def name(pair):
         # the far ends, and whether the germs are the two ends of a loop
         return (tuple(sorted(end for (*_, end) in pair)),
                 pair[0][:2] == pair[1][:2])
 
-    def key(ends, loop):
-        # the orbit's key: the least image of the far ends, and the flag;
-        # when the identity alone fixes vertex 0, the raw ends and flag
-        if len(fixing) == 1:
-            return ends, loop
-        return (min(tuple(sorted(p[end] if end >= 0 else end
-                                 for end in ends)) for p in fixing), loop)
+    def image(p, key):
+        ends, loop = key
+        return tuple(sorted(p[end] if end >= 0 else end for end in ends)), loop
 
+    # rest names what a pair is taken with: itself, or its complement
+    pairs = list(combinations(germs, 2))
+    names = rest = [name(pair) for pair in pairs]
     if len(germs) == 4 == graph.degree(0):
-        # each {pair, complement} once: the pair holding the first germ
-        pairs = [((germs[0], germ), [g for g in germs[1:] if g != germ])
-                 for germ in germs[1:]]
-    else:
-        pairs = ((pair, None) for pair in combinations(germs, 2))
-    seen, orbits = set(), set()
-    for pair, rest in pairs:
-        # the key depends only on the raw ends and flag (the complement's
-        # follow from them), so a pair that repeats both is in an orbit
-        # already taken
-        ends = raw(pair)
-        if ends in seen:
+        # each {pair, complement} once: the pairs holding the first germ,
+        # whose complements are the last three pairs in reverse order
+        pairs, rest = pairs[:3], names[:2:-1]
+    # a pair's orbit id, the lesser of its own and the one it is taken with
+    ids = graph.orbits(names + rest, image)
+    taken = set()
+    for pair, (_, loop), orbit in zip(pairs, names,
+                                      map(min, ids, ids[len(names):])):
+        if orbit in taken:
             continue
-        seen.add(ends)
-        orbit = key(*ends)
-        if rest is not None:
-            orbit = min(orbit, key(*raw(rest)))
-        if orbit in orbits:
-            continue
-        orbits.add(orbit)
+        taken.add(orbit)
         if alg is not None and not live_vertex(
-                alg, ["GG", pair[0][3], pair[1][3]]):
+                alg, ["GG", pair[0][2], pair[1][2]]):
             continue
         # the parent's tuples with the pair's ends at w: an edge keeps
         # its far end, which is less than w, or is a loop at w
         edges, leaves = list(graph.edges), list(graph.leaves)
-        for table, entry, _, _, end in pair:
+        for table, entry, _, end in pair:
             if table:
                 leaves[entry] = (w, "E0")
             else:
-                edges[entry] = (w, w, "GG") if ends[1] else (end, w, "GG")
+                edges[entry] = (w, w, "GG") if loop else (end, w, "GG")
         edges.append((0, w, "GG"))
         yield MarkedGraph._checked(w + 1, tuple(edges), tuple(leaves))
 
@@ -222,8 +220,10 @@ def _canonical(graph):
     if len(ties) == 1:
         return True
     position = {v: i for i, v in enumerate(graph.canonical_ordering())}
-    a, b = min(ties, key=lambda edge: sorted(position[v] for v in edge))
-    return any({p[0], p[w]} == {a, b} for p in graph.vertex_automorphisms())
+    canonical = min(ties, key=lambda edge: sorted(position[v] for v in edge))
+    a, b = graph.orbits([canonical, (0, w)],
+                        lambda p, edge: tuple(sorted(map(p.__getitem__, edge))))
+    return a == b
 
 
 def _classes(roses, valid, alg):
@@ -252,7 +252,7 @@ def _classes(roses, valid, alg):
         ok, why = valid(graph)
         assert ok, why
         handles = sum(m == "IDLOOP" for (_, _, m) in graph.edges)
-        aut = graph.automorphism_order()
+        aut = found[key].automorphism_order()
         classes.append(WeightedGraphClass(
             graph, Fraction(1, 12) ** handles / aut, aut, handles))
     return classes

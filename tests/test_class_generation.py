@@ -113,6 +113,30 @@ def test_checked_graphs_match_public_twins(request, monkeypatch, name):
         assert graph.is_connected() == twin.is_connected()
 
 
+@pytest.mark.parametrize("name", [None, "live8"])
+def test_split_parents_fix_vertex_zero(request, monkeypatch, name):
+    # `_split` names a pair by its far ends and reads their orbits under
+    # every automorphism: sound because each graph it splits has vertex 0
+    # alone in its vertex orbit (degree >= 4 or the arrow there, every
+    # other vertex trivalent)
+    alg = None if name is None else request.getfixturevalue(name)
+    parents = []
+    split = potentials._split
+
+    def recording(graph, alg):
+        parents.append(graph)
+        return split(graph, alg)
+
+    monkeypatch.setattr(potentials, "_split", recording)
+    class_lists(alg)
+    symmetric = 0
+    for graph in parents:
+        ids = graph.orbits(range(graph.n_vertices), lambda p, v: p[v])
+        assert ids[0] not in ids[1:], graph
+        symmetric += len(set(ids)) < graph.n_vertices
+    assert symmetric > 0
+
+
 def counted(monkeypatch, build):
     """The classes `build` returns, and how many canonical forms and
     sweeps it takes."""

@@ -23,7 +23,7 @@ import pytest
 
 from cyclichodge.potentials import enumerate_desc, enumerate_sm
 
-MAX_VERTICES, MAX_LEAVES = 8, 5
+MAX_VERTICES, MAX_LEAVES = 10, 18
 
 
 def moment(k):
@@ -90,6 +90,9 @@ PIECES = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
 # regular graphs that color refinement cannot split at all
 PIECES += [(3, 0, L) for L in range(5)] + [(4, 0, L) for L in range(3)]
 PIECES += [(5, 0, 0)]
+# genus-0 one-point pieces whose generation splits stars of eight and
+# nine E0 cherries around the arrow vertex: vertex groups of 8! and 9!
+PIECES += [(0, 5, 16), (0, 6, 18)]
 
 
 def test_oracle_anchors():
@@ -101,6 +104,8 @@ def test_oracle_anchors():
     # the 71 connected cubic multigraphs on 8 vertices (OEIS A005967)
     assert primary_weight(5, 0) == Fraction(565, 128)
     assert len(enumerate_sm(5, 0)) == 71
+    assert descendant_weight(0, 5, 16) == Fraction(81719, 368640)
+    assert descendant_weight(0, 6, 18) == Fraction(62491, 688128)
 
 
 @pytest.mark.parametrize("g,n,L", PIECES,

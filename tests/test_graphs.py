@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from math import factorial
 
 import pytest
 
@@ -50,6 +51,42 @@ def lifts(graph):
             for t in range(2, c + 1):
                 count *= t
     return count
+
+
+def cherry_star(k):
+    """A centre carrying E1, joined by GG to k cherries of two E0 leaves."""
+    return MarkedGraph(
+        k + 1, [(0, c, "GG") for c in range(1, k + 1)],
+        [(0, "E1")] + [(c, "E0") for c in range(1, k + 1) for _ in "ab"])
+
+
+def partition(keys, ids):
+    """The blocks of keys with equal ids."""
+    blocks = {}
+    for key, i in zip(keys, ids):
+        blocks.setdefault(i, set()).add(key)
+    return {frozenset(block) for block in blocks.values()}
+
+
+def assert_orbits_match(graph, group):
+    """`graph.orbits` against a group given as its list of vertex
+    permutations: the automorphisms the search found generate exactly
+    the group, and the vertex and vertex-pair orbits are the group's."""
+    members = set(group)
+
+    def compose(p, q):
+        # p after q; the generated group must stay inside `group`
+        product = tuple(p[v] for v in q)
+        assert product in members, (graph, p, q)
+        return product
+
+    assert len(set(graph.orbits(group, compose))) == 1, graph
+    vertices = range(graph.n_vertices)
+    pairs = list(itertools.combinations(vertices, 2))
+    for keys, image in ((vertices, lambda p, v: p[v]),
+                        (pairs, lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))):
+        brute = {frozenset(image(p, key) for p in group) for key in keys}
+        assert partition(keys, graph.orbits(keys, image)) == brute, graph
 
 
 def brute_automorphisms(graph):
@@ -194,9 +231,9 @@ class TestAutomorphisms:
             checked += 1
         assert checked >= 60
 
-    def test_recorded_vertex_automorphisms(self):
+    def test_orbits_match_brute_force(self):
         # symmetric classes in random labelings, their canonical
-        # representatives (which inherit the sweep) and random graphs
+        # representatives and random graphs
         rng = random.Random(53)
         graphs = []
         for L in range(3):
@@ -207,34 +244,26 @@ class TestAutomorphisms:
         graphs += [random_connected_graph(rng, 2, max_vertices=4)
                    for _ in range(40)]
         # twins: a centre carrying E1, with five E0 cherries
-        graphs.append(MarkedGraph(
-            6, [(0, c, "GG") for c in range(1, 6)],
-            [(0, "E1")] + [(c, "E0") for c in range(1, 6) for _ in "ab"]))
+        graphs.append(cherry_star(5))
         graphs += [g.canonical_graph() for g in graphs]
         for g in graphs:
-            perms = g.vertex_automorphisms()
-            assert perms[0] == tuple(range(g.n_vertices))
-            for perm in perms:
-                mapped = g.relabel(perm)
-                assert sorted(mapped.edges) == sorted(g.edges), (g, perm)
-                assert sorted(mapped.leaves) == sorted(g.leaves), (g, perm)
-            assert sorted(perms) == brute_vertex_automorphisms(g), g
-            assert len(perms) * lifts(g) == brute_automorphisms(g), g
+            assert_orbits_match(g, brute_vertex_automorphisms(g))
             assert g.automorphism_order() == brute_automorphisms(g), g
-        assert max(len(g.vertex_automorphisms()) for g in graphs) >= 4
+        assert max(len(brute_vertex_automorphisms(g)) for g in graphs) >= 4
 
     def test_cycle_refinement_cannot_split(self):
         # color refinement leaves the 12 vertices of a GG cycle with one
         # E0 leaf each in one cell; the search tree individualizes one
-        # vertex and then one of its neighbours, so it visits 24 leaves,
-        # not the 12! orderings of that cell
+        # vertex and then one of its neighbours, and each child of those
+        # two nodes after the first ends at its first leaf, an image of
+        # the first leaf: 13 leaves, not the 12! orderings of that cell
         n = 12
         cycle = MarkedGraph(n, [(v, (v + 1) % n, "GG") for v in range(n)],
                             [(v, "E0") for v in range(n)])
         assert cycle.automorphism_order() == 24
-        dihedral = sorted(tuple((s * v + r) % n for v in range(n))
-                          for r in range(n) for s in (1, -1))
-        assert sorted(cycle.vertex_automorphisms()) == dihedral
+        dihedral = [tuple((s * v + r) % n for v in range(n))
+                    for r in range(n) for s in (1, -1)]
+        assert_orbits_match(cycle, dihedral)
         key, rep = cycle.canonical_form(), cycle.canonical_graph()
         rng = random.Random(59)
         for _ in range(20):
@@ -243,6 +272,14 @@ class TestAutomorphisms:
             relabeled = cycle.relabel(perm)
             assert relabeled.canonical_form() == key
             assert relabeled.canonical_graph() == rep
+
+    def test_cherry_stars(self):
+        # k cherries on a centre carrying E1: the k! permutations of the
+        # cherries, times a swap of the two E0 leaves of each; the search
+        # visits 1 + k(k-1)/2 leaves, not k!
+        for k in range(2, 11):
+            assert cherry_star(k).automorphism_order() == (
+                factorial(k) * 2 ** k)
 
 
 class TestValidity:
