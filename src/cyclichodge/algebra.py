@@ -144,36 +144,6 @@ class CHAlgebra:
     def basis_vector(self, i):
         return {i: 1}
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self):
-        prod = [[i + 1, j + 1, k + 1, format_rational(c)]
-                for i, plane in enumerate(self.product)
-                for j, terms in enumerate(plane) for k, c in terms]
-
-        def op_entries(mat):
-            ents = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if mat[i][j] != 0:
-                        ents.append([i + 1, j + 1, format_rational(mat[i][j])])
-            return ents
-
-        obj = {
-            "dim": self.dim,
-            "parity": list(self.parity),
-            "unit": self.unit + 1,
-            "product": prod,
-            "Q": op_entries(self.q),
-            "Gminus": op_entries(self.gminus),
-            "integral": [format_rational(c) for c in self.integral],
-            "hodge": {"H0": [i + 1 for i in self.h0],
-                      "blocks": [[i + 1 for i in b] for b in self.blocks]},
-        }
-        if self.name:
-            obj["name"] = self.name
-        return obj
-
 
 def parse_algebra(obj, name=""):
     """Build a CHAlgebra from the documented JSON object layout."""

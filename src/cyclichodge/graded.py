@@ -59,8 +59,6 @@ def mat_apply(mat, coords):
     mat[i][j] is the coefficient of e_i in the image of e_j."""
     out = {}
     for j, c in coords.items():
-        if c == 0:
-            continue
         for i, row in enumerate(mat):
             m = row[j]
             if m != 0:

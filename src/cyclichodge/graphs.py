@@ -175,16 +175,7 @@ class MarkedGraph:
             raise ValueError("genus is defined for connected graphs")
         return self.n_edges - self.n_vertices + 1
 
-    # -- relabeling and isomorphism -----------------------------------------
-
-    def relabel(self, perm):
-        """New graph with vertex v renamed perm[v]."""
-        if sorted(perm) != list(range(self.n_vertices)):
-            raise ValueError("perm must be a permutation of the vertices")
-        return MarkedGraph(
-            self.n_vertices,
-            [(perm[u], perm[v], m) for (u, v, m) in self.edges],
-            [(perm[v], m) for (v, m) in self.leaves])
+    # -- isomorphism ---------------------------------------------------------
 
     def _least_encoding(self):
         """One search of the individualization-refinement tree (McKay,
@@ -471,8 +462,6 @@ def is_valid_descendant_graph(graph, genus, n):
         elif m != "GG":
             return False, f"edge mark {m} not allowed"
     gprime, mprime = graph.vertex_profile(v0)
-    if mprime < 1:
-        return False, "arrow vertex needs a non-handle germ"
     if n != 3 * gprime - 3 + mprime:
         return False, (f"arrow vertex has handles={gprime}, germs={mprime}, "
                        f"which encodes level {3 * gprime - 3 + mprime}, not {n}")

@@ -203,9 +203,6 @@ class Poly:
         return Poly._clean({m: c for m, c in self.terms.items()
                             if not any(pred(n, i) for n, i in m)})
 
-    def items(self):
-        return self.terms.items()
-
     def leading_witness(self):
         """(monomial, coefficient) of the lexicographically first term, or None."""
         if not self.terms:
@@ -248,23 +245,6 @@ class Poly:
             terms.append({"vars": [[n, i] for n, i in mono],
                           "coeff": format_rational(self.terms[mono])})
         return {"terms": terms}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
-            raise ValueError("polynomial JSON must be an object with a 'terms' list")
-        out = {}
-        for t in obj["terms"]:
-            if not (isinstance(t, dict) and "coeff" in t
-                    and isinstance(t.get("vars"), list)
-                    and all(isinstance(var, list) and len(var) == 2
-                            and all(type(x) is int for x in var)
-                            for var in t["vars"])):
-                raise ValueError(f"bad term {t!r}: need 'coeff' and 'vars', "
-                                 "a list of [level, slot] integer pairs")
-            mono = _normalize_mono(tuple(tuple(var) for var in t["vars"]))
-            out[mono] = out.get(mono, Fraction(0)) + parse_rational(t["coeff"])
-        return cls(out)
 
     def __repr__(self):
         return f"Poly({self.to_text()})"

@@ -1,9 +1,11 @@
 """Shared fixtures: the builtin algebras (live8, loop8 and cubic6 are
-those on which a GG class is nonzero), the hand-built variant scaled2, a
-perturbed potential table, and a random-graph generator for fuzz
-comparisons."""
+those on which a GG class is nonzero) and their shipped JSON, the
+hand-built variant scaled2, a perturbed potential table, a vertex
+relabeling, and a random-graph generator for fuzz comparisons."""
 
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -36,6 +38,13 @@ def block6():
 @pytest.fixture(scope="session")
 def block8():
     return load_builtin("block8")
+
+
+def builtin_json(name):
+    """A fresh copy of the JSON object that ships as builtin `name`, the
+    layout a user writes an algebra file in."""
+    text = resources.files("cyclichodge.data").joinpath(f"{name}.json").read_text()
+    return json.loads(text)
 
 
 DUAL2_OBJ = {
@@ -93,6 +102,14 @@ class PerturbedTable(PotentialTable):
         if (g, n) == self.perturbed:
             out = out + self.delta.level_zero_degree_part(ell)
         return out
+
+
+def relabel(graph, perm):
+    """A new graph with vertex v of `graph` renamed perm[v]."""
+    return MarkedGraph(
+        graph.n_vertices,
+        [(perm[u], perm[v], m) for (u, v, m) in graph.edges],
+        [(perm[v], m) for (v, m) in graph.leaves])
 
 
 def random_connected_graph(rng, dim, couplings=True, max_vertices=3):

@@ -12,7 +12,7 @@ from cyclichodge.algebra import (
 )
 from cyclichodge.builtin import BUILTIN_NAMES, load_builtin
 from cyclichodge.graded import identity_matrix, mat_add, mat_apply
-from conftest import SCALED2_OBJ
+from conftest import SCALED2_OBJ, builtin_json
 
 
 ALL_CHECKS = (
@@ -70,13 +70,9 @@ class TestAlgebraOps:
                 s = -1 if block8.parity[i] and block8.parity[j] else 1
                 assert g[i][j] == s * g[j][i]
 
-    def test_json_round_trip(self, block6):
-        again = parse_algebra(block6.to_json_obj(), name=block6.name)
-        assert again == block6
-
     def test_load_from_file(self, tmp_path, dual2):
         path = tmp_path / "alg.json"
-        path.write_text(json.dumps(dual2.to_json_obj()))
+        path.write_text(json.dumps(builtin_json("dual2")))
         assert load_algebra(path) == dual2
 
     def test_load_bad_json(self, tmp_path):
@@ -172,11 +168,20 @@ class TestFormatErrors:
         with pytest.raises(exc):
             parse_algebra(obj)
 
+    @pytest.mark.parametrize("key, row", [("product", "[i, j, k, coeff]"),
+                                          ("Q", "[i, j, coeff]"),
+                                          ("Gminus", "[i, j, coeff]")],
+                             ids=["product", "Q", "Gminus"])
+    def test_rows_not_a_list(self, key, row):
+        with pytest.raises(FormatError) as info:
+            parse_algebra(dict(SCALED2_OBJ, **{key: 5}))
+        assert str(info.value) == f"{key} must be a list of {row} entries"
+
 
 def mutations(name):
     """Yield (label, mutated json object) pairs, each of which parses but
     must fail at least one axiom."""
-    base = load_builtin(name).to_json_obj()
+    base = builtin_json(name)
     dim = base["dim"]
     unit = base["unit"]
 
@@ -350,7 +355,7 @@ def mutate(name, key, value):
     """The builtin's JSON with one product, Q or Gminus entry set (any
     entry at the same indices dropped) or its parity or integral list
     replaced."""
-    obj = load_builtin(name).to_json_obj()
+    obj = builtin_json(name)
     if key in ("product", "Q", "Gminus"):
         n = len(value) - 1
         obj[key] = [e for e in obj[key] if e[:n] != value[:n]] + [value]
@@ -382,69 +387,69 @@ class TestTargetedMutations:
     def failing(self, obj):
         return [c.name for c in check_axioms(parse_algebra(obj)).failures]
 
-    def test_block_order_swap(self, block6):
-        obj = block6.to_json_obj()
+    def test_block_order_swap(self):
+        obj = builtin_json("block6")
         obj["hodge"]["blocks"] = [[3, 5, 4, 6]]
         assert "block-structure" in self.failing(obj)
 
-    def test_scaled_block_generator(self, block6):
-        obj = block6.to_json_obj()
+    def test_scaled_block_generator(self):
+        obj = builtin_json("block6")
         obj["Q"] = [[4, 3, "2"], [6, 5, "1"]]
         assert "block-structure" in self.failing(obj)
 
-    def test_q_on_h0(self, block6):
-        obj = block6.to_json_obj()
+    def test_q_on_h0(self):
+        obj = builtin_json("block6")
         obj["Q"] = obj["Q"] + [[3, 2, "1"]]
         assert "q-kills-h0" in self.failing(obj)
 
-    def test_odd_square_nonzero(self, block6):
-        obj = block6.to_json_obj()
+    def test_odd_square_nonzero(self):
+        obj = builtin_json("block6")
         obj["product"] = obj["product"] + [[3, 3, 2, "1"]]
         assert "supercommutativity" in self.failing(obj)
 
-    def test_integral_on_odd(self, dual2):
-        obj = dual2.to_json_obj()
+    def test_integral_on_odd(self):
+        obj = builtin_json("dual2")
         obj["parity"] = [0, 1]
         assert "integral-parity" in self.failing(obj)
 
-    def test_square_root_of_unit_is_valid(self, dual2):
+    def test_square_root_of_unit_is_valid(self):
         # x*x = 1 turns dual2 into Q[x]/(x^2 - 1), still a valid algebra
-        obj = dual2.to_json_obj()
+        obj = builtin_json("dual2")
         obj["product"] = obj["product"] + [[2, 2, 1, "1"]]
         assert check_axioms(parse_algebra(obj)).ok
 
-    def test_one_sided_product(self, block6):
-        obj = block6.to_json_obj()
+    def test_one_sided_product(self):
+        obj = builtin_json("block6")
         obj["product"] = obj["product"] + [[2, 3, 6, "1"]]
         assert "supercommutativity" in self.failing(obj)
 
-    def test_broken_associativity(self, block6):
+    def test_broken_associativity(self):
         # t*t = G_-(e): symmetric and parity-clean, but (t t) b != t (t b)
-        obj = block6.to_json_obj()
+        obj = builtin_json("block6")
         obj["product"] = obj["product"] + [[2, 2, 5, "1"]]
         assert "associativity" in self.failing(obj)
 
-    def test_leibniz_breaker(self, block8):
+    def test_leibniz_breaker(self):
         # redirect Q(theta1) from x to x theta1 theta2 (both even):
         # parity still consistent, block-structure breaks and so does
         # Leibniz on (theta1, theta2)
-        obj = block8.to_json_obj()
+        obj = builtin_json("block8")
         obj["Q"] = [[8, 3, "1"], [6, 7, "1"]]
         failing = self.failing(obj)
         assert "q-leibniz" in failing or "block-structure" in failing
 
-    def test_sign_flip_on_gminus(self, block8):
+    def test_sign_flip_on_gminus(self):
         # +x theta2 instead of -x theta2 breaks the anticommutator with Q
-        obj = block8.to_json_obj()
+        obj = builtin_json("block8")
         obj["Gminus"] = [[7, 3, "1"], [6, 2, "1"]]
         failing = self.failing(obj)
         assert "q-gminus-anticommutator" in failing
         assert "gminus-integral-adjoint" in failing
 
-    def test_seven_term_and_one_twelfth_are_checked(self, block8):
+    def test_seven_term_and_one_twelfth_are_checked(self):
         # a unit component in G_-(theta2) breaks the second-order relation
         # and the supertrace normalization, not just the linear checks
-        obj = block8.to_json_obj()
+        obj = builtin_json("block8")
         obj["Gminus"] = obj["Gminus"] + [[1, 4, "1"]]
         failing = self.failing(obj)
         assert "gminus-seven-term" in failing

@@ -1,6 +1,7 @@
 """End-to-end command line checks via subprocess, plus exit code logic."""
 
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,8 +59,8 @@ class TestEval:
         rc, out, _ = run_cli("eval", "--algebra", "trivial",
                              "--graph", graph_file, "--json", "--oracle")
         assert rc == 0
-        value = Poly.from_json_obj(json.loads(out)["value"])
-        assert value == Poly.var(0, 1) * Poly.var(0, 1) * Poly.var(0, 1)
+        value = Poly.var(0, 1) * Poly.var(0, 1) * Poly.var(0, 1)
+        assert json.loads(out)["value"] == value.to_json_obj()
 
     def test_algebra_from_file(self, loop_graph_file, dual2_file):
         rc, out, _ = run_cli("eval", "--algebra", dual2_file,
@@ -102,8 +103,8 @@ class TestPotential:
                              "--max-leaves", "0", "--classes", "--json")
         assert rc == 0
         obj = json.loads(out)
-        assert Poly.from_json_obj(obj["potential"]) == \
-            Poly.var(1, 1) * Fraction(1, 24)
+        assert obj["potential"] == \
+            (Poly.var(1, 1) * Fraction(1, 24)).to_json_obj()
         (row,) = obj["classes"]
         assert row["weight"] == "1/24"
         assert row["aut_order"] == 2
@@ -324,6 +325,28 @@ class TestBadInput:
         assert out == ""
         assert err == ("error: invalid JSON: Expecting value: "
                        "line 1 column 1 (char 0)\n")
+
+    def test_out_of_memory(self, tmp_path):
+        # a dim-5000 algebra passes every format check, and its dim x dim
+        # product layout then outgrows a 256 MB address space: one error
+        # line and exit 2, not a traceback.  The limit is set in the child
+        # only, never in the test process
+        dim = 5000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dim": dim, "parity": [0] * dim, "unit": 1,
+            "product": [[1, 1, 1, "1"]], "integral": ["1"] * dim,
+            "hodge": {"H0": list(range(1, dim + 1)), "blocks": []}}))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclichodge", "axioms", "--algebra",
+             str(path)], capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: out of memory\n")
 
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli("frobnicate")

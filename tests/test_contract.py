@@ -20,7 +20,7 @@ from cyclichodge.graphs import EDGE_MARKS, MarkedGraph
 from cyclichodge.poly import Poly
 from cyclichodge.potentials import PotentialTable
 from cyclichodge.relations import run_battery
-from conftest import random_connected_graph
+from conftest import builtin_json, random_connected_graph
 
 
 def T(n, i):
@@ -149,6 +149,8 @@ class TestPlans:
         g = MarkedGraph(2, [])
         with pytest.raises(ValueError):
             make_plan(g)
+        with pytest.raises(ValueError, match="connected graphs only"):
+            random_plan(g, random.Random(0))
         with pytest.raises(ValueError):
             evaluate_graph(None, g)
 
@@ -156,16 +158,23 @@ class TestPlans:
         g = MarkedGraph(2, [(0, 1, "GG"), (0, 1, "GG")])
         good = make_plan(g)
         bad = [
-            EvalPlan((0, 0), good.germ_order, good.sign_edges),
-            EvalPlan(good.vertex_order, ((0, 1), (2, 3)), good.sign_edges),
+            (EvalPlan((0, 0), good.germ_order, good.sign_edges),
+             "vertex order must be a permutation"),
+            (EvalPlan(good.vertex_order, good.germ_order[:1], good.sign_edges),
+             "needs a germ order for every vertex"),
+            (EvalPlan(good.vertex_order, ((0, 1), (2, 3)), good.sign_edges),
+             "germ order of vertex 1 does not match"),
             # both edges twisted: no spanning tree
-            EvalPlan(good.vertex_order, good.germ_order, frozenset({0, 1})),
+            (EvalPlan(good.vertex_order, good.germ_order, frozenset({0, 1})),
+             "must form a spanning tree"),
             # both untwisted: a cycle
-            EvalPlan(good.vertex_order, good.germ_order, frozenset()),
-            EvalPlan(good.vertex_order, good.germ_order, frozenset({5})),
+            (EvalPlan(good.vertex_order, good.germ_order, frozenset()),
+             "must not close a cycle"),
+            (EvalPlan(good.vertex_order, good.germ_order, frozenset({5})),
+             "sign edge index out of range"),
         ]
-        for plan in bad:
-            with pytest.raises(ValueError):
+        for plan, message in bad:
+            with pytest.raises(ValueError, match=message):
                 validate_plan(g, plan)
             # evaluation checks a plan only when the caller supplies one
             with pytest.raises(ValueError):
@@ -284,7 +293,7 @@ class TestTensorCache:
         # dual2 and scaled2 differ only in their integral, and the renamed
         # copy is block6's data under another name: a cache keyed on less
         # than the full data hands one of them the wrong tables
-        renamed = parse_algebra(block6.to_json_obj(), name="block6-copy")
+        renamed = parse_algebra(builtin_json("block6"), name="block6-copy")
         rng = random.Random(2718)
         scaled_edges = 0
         for _ in range(8):
@@ -318,7 +327,7 @@ class TestTensorCache:
                             counted("vertex", contract._fold))
         monkeypatch.setattr(contract, "leaf_vector",
                             counted("leaf", contract.leaf_vector))
-        alg = parse_algebra(block6.to_json_obj(), name="block6")
+        alg = parse_algebra(builtin_json("block6"), name="block6")
         table = RecordingTable(alg)
         run_battery(alg, 2, 2, table=table)
         graphs = [cls.graph for key in sorted(table.keys)
@@ -361,7 +370,7 @@ class TestTensorCache:
             evaluate_graph(alg, graph)
         assert builds == before
         # equal data under another name builds its own tables, once each
-        renamed = parse_algebra(block6.to_json_obj(), name="block6-copy")
+        renamed = parse_algebra(builtin_json("block6"), name="block6-copy")
         for _ in range(2):
             for graph in graphs:
                 evaluate_graph(renamed, graph)

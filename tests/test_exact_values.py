@@ -16,6 +16,7 @@ from cyclichodge.contract import evaluate_graph
 from cyclichodge.graphs import EDGE_MARKS, MarkedGraph
 from cyclichodge.poly import Poly
 from cyclichodge.relations import run_battery
+from conftest import builtin_json
 
 # the builtins whose H_0 is purely even, so that potentials and the
 # identity battery are defined over them
@@ -96,7 +97,7 @@ def test_tables_over_odd_h0(name):
 def test_one_twelfth_divides_exactly():
     # G_-(e3) gains the unit, so str(x -> G_-(e3) x) is the superdimension
     # 2 of block6 and the report shows 2 / 12 as a Fraction
-    obj = load_builtin("block6").to_json_obj()
+    obj = builtin_json("block6")
     obj["Gminus"].append([1, 3, "1"])
     (check,) = [c for c in check_axioms(parse_algebra(obj)).checks
                 if c.name == "one-twelfth"]

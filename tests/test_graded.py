@@ -46,6 +46,12 @@ class TestMatrices:
         with pytest.raises(SingularMatrixError):
             mat_inverse(m)
 
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mat_mul(((1, 2),), ((1, 2),))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            mat_inverse(((1, 2),))
+
     def test_supertrace(self):
         m = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(5)))
         assert supertrace(m, [0, 0]) == 8

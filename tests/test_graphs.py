@@ -12,7 +12,7 @@ from cyclichodge.graphs import (
     leaf_basis_index, leaf_level,
 )
 from cyclichodge.potentials import enumerate_sm
-from conftest import random_connected_graph
+from conftest import random_connected_graph, relabel
 
 
 def brute_vertex_automorphisms(graph):
@@ -149,14 +149,6 @@ class TestBasics:
         g = MarkedGraph(1, [(0, 0, "IDLOOP"), (0, 0, "GG")], [(0, "E1")])
         assert g.vertex_profile(0) == (1, 3)
 
-    def test_relabel(self):
-        g = MarkedGraph(3, [(0, 1, "GG"), (1, 2, "ID")], [(2, "E0")])
-        h = g.relabel([2, 0, 1])
-        assert h.edges == ((0, 2, "GG"), (0, 1, "ID"))
-        assert h.leaves == ((1, "E0"),)
-        with pytest.raises(ValueError):
-            g.relabel([0, 0, 1])
-
     def test_json_round_trip(self):
         g = MarkedGraph(2, [(0, 1, "GG"), (0, 0, "IDLOOP")],
                         [(1, "E2"), (0, "UNIT")])
@@ -181,8 +173,8 @@ class TestCanonicalForm:
             for _ in range(4):
                 perm = list(range(g.n_vertices))
                 rng.shuffle(perm)
-                edges = list(g.relabel(perm).edges)
-                leaves = list(g.relabel(perm).leaves)
+                edges = list(relabel(g, perm).edges)
+                leaves = list(relabel(g, perm).leaves)
                 rng.shuffle(edges)
                 rng.shuffle(leaves)
                 h = MarkedGraph(g.n_vertices, edges, leaves)
@@ -240,7 +232,7 @@ class TestAutomorphisms:
             for cls in enumerate_sm(2, L):
                 perm = list(range(cls.graph.n_vertices))
                 rng.shuffle(perm)
-                graphs.append(cls.graph.relabel(perm))
+                graphs.append(relabel(cls.graph, perm))
         graphs += [random_connected_graph(rng, 2, max_vertices=4)
                    for _ in range(40)]
         # twins: a centre carrying E1, with five E0 cherries
@@ -269,7 +261,7 @@ class TestAutomorphisms:
         for _ in range(20):
             perm = list(range(n))
             rng.shuffle(perm)
-            relabeled = cycle.relabel(perm)
+            relabeled = relabel(cycle, perm)
             assert relabeled.canonical_form() == key
             assert relabeled.canonical_graph() == rep
 
@@ -298,6 +290,8 @@ class TestValidity:
         assert not is_valid_smooth_graph(bad_degree, 1)[0]
         bad_leaf = MarkedGraph(1, [], [(0, "E0"), (0, "E0"), (0, "E1")])
         assert not is_valid_smooth_graph(bad_leaf, 0)[0]
+        apart = MarkedGraph(2, [], [(0, "E0")] * 3 + [(1, "E0")] * 3)
+        assert is_valid_smooth_graph(apart, 0) == (False, "not connected")
 
     def test_descendant(self):
         # genus 1 via one handle: vertex with IDLOOP, arrow E1
@@ -325,3 +319,16 @@ class TestValidity:
         assert not is_valid_descendant_graph(away, 1, 1)[0]
         # n = 0 is never a descendant sum
         assert not is_valid_descendant_graph(h, 1, 0)[0]
+        apart = MarkedGraph(2, [(0, 0, "IDLOOP")], [(0, "E1")])
+        assert is_valid_descendant_graph(apart, 1, 1) == (False, "not connected")
+        assert is_valid_descendant_graph(h, 2, 1) == (
+            False, "genus is 1, expected 2")
+        id_edge = MarkedGraph(2, [(0, 0, "IDLOOP"), (0, 1, "ID")],
+                              [(0, "E1"), (1, "E0"), (1, "E0")])
+        assert is_valid_descendant_graph(id_edge, 1, 1) == (
+            False, "edge mark ID not allowed")
+        # handles=1 and m'=2 encode level 2; vertex 2 is not trivalent
+        plain = MarkedGraph(2, [(0, 0, "IDLOOP"), (0, 1, "GG")],
+                            [(0, "E2"), (1, "E0")])
+        assert is_valid_descendant_graph(plain, 1, 2) == (
+            False, "vertex 2 has degree 2")

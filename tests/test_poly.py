@@ -1,6 +1,5 @@
 """Polynomial ring over Q in the doubled couplings T[n,i]."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -184,42 +183,27 @@ class TestSerialization:
         q = T(1, 2) - Poly.const(1)
         assert q.to_text() == "-1 + T_{1,2}"
 
-    def test_json_round_trip(self):
-        p = (T(0, 1) * T(0, 1) * Fraction(-3, 7)
-             + T(4, 2) * T(0, 3) + Poly.const(2))
-        q = Poly.from_json_obj(json.loads(json.dumps(p.to_json_obj())))
-        assert p == q
-
-    def test_json_rejects_floats(self):
-        with pytest.raises(ValueError):
-            Poly.from_json_obj({"terms": [{"vars": [[0, 1]], "coeff": "0.5"}]})
-
-    def test_json_shape_errors(self):
-        with pytest.raises(ValueError):
-            Poly.from_json_obj([1, 2])
-
-    @pytest.mark.parametrize("obj", [
-        {"terms": 5},
-        {"terms": [{"coeff": "1"}]},
-        {"terms": [{"vars": [[0, 1]]}]},
-        {"terms": [5]},
-        {"terms": [{"vars": [[True, 1]], "coeff": "1"}]},
-        {"terms": [{"vars": [[0.7, 1]], "coeff": "1"}]},
-        {"terms": [{"vars": [["0", 1]], "coeff": "1"}]},
-        {"terms": [{"vars": [[None, 1]], "coeff": "1"}]},
-        {"terms": [{"vars": [[0, 1, 2]], "coeff": "1"}]},
-        {"terms": [{"vars": [[0, 1]], "coeff": True}]},
-    ], ids=["terms-not-list", "no-vars", "no-coeff", "term-not-object",
-            "bool-level", "float-level", "string-level", "null-level",
-            "triple", "bool-coeff"])
-    def test_json_rejects_malformed_terms(self, obj):
-        with pytest.raises(ValueError):
-            Poly.from_json_obj(obj)
+    def test_to_json_obj(self):
+        p = (T(4, 2) * T(0, 3) + T(0, 1) * T(0, 1) * Fraction(-3, 7)
+             + Poly.const(2))
+        assert p.to_json_obj() == {"terms": [
+            {"vars": [], "coeff": "2"},
+            {"vars": [[0, 1], [0, 1]], "coeff": "-3/7"},
+            {"vars": [[0, 3], [4, 2]], "coeff": "1"}]}
+        assert Poly.zero().to_json_obj() == {"terms": []}
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3),
                               st.fractions(max_denominator=9)), max_size=6))
-    def test_round_trip_random(self, triples):
+    def test_to_json_obj_random(self, triples):
+        # each monomial once, ascending, as [level, slot] int pairs with
+        # its exact coefficient as a string: no float anywhere
         p = Poly.zero()
         for n, i, c in triples:
             p = p + T(n, i) * T(n, i) * c + T(n, i)
-        assert Poly.from_json_obj(p.to_json_obj()) == p
+        terms = p.to_json_obj()["terms"]
+        monos = [tuple(map(tuple, t["vars"])) for t in terms]
+        assert monos == sorted(set(monos))
+        assert all(type(x) is int for mono in monos for var in mono for x in var)
+        assert all(type(t["coeff"]) is str for t in terms)
+        assert {mono: parse_rational(t["coeff"])
+                for mono, t in zip(monos, terms)} == p.terms

@@ -11,7 +11,7 @@ from cyclichodge.poly import Poly
 from cyclichodge.potentials import (
     PotentialTable, enumerate_desc, enumerate_sm, kdv_coefficient,
 )
-from conftest import DUAL2_OBJ, PerturbedTable
+from conftest import DUAL2_OBJ, PerturbedTable, relabel
 
 
 def T(n, i):
@@ -110,6 +110,10 @@ class TestDescendantEnumeration:
         with pytest.raises(ValueError):
             enumerate_desc(0, 0, 3)
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="leaf count must be nonnegative"):
+            enumerate_desc(-1, 1, 0)
+
     def test_classes_are_canonical_representatives(self):
         # any relabeling of a stored class graph canonicalises back to it
         rng = random.Random(3)
@@ -119,8 +123,8 @@ class TestDescendantEnumeration:
             graph = cls.graph
             perm = list(range(graph.n_vertices))
             rng.shuffle(perm)
-            edges = list(graph.relabel(perm).edges)
-            leaves = list(graph.relabel(perm).leaves)
+            edges = list(relabel(graph, perm).edges)
+            leaves = list(relabel(graph, perm).leaves)
             rng.shuffle(edges)
             rng.shuffle(leaves)
             shuffled = MarkedGraph(graph.n_vertices, edges, leaves)
