@@ -27,16 +27,21 @@ half-edge that can only be even flips nothing.
 Its constant tensors are built on first use and kept with the algebra
 object (`CHAlgebra.memo`), each holding its exact values, int-first (see
 `graded`): one bivector table per (edge mark, twist), one leaf table per
-leaf mark, and one vertex table per tuple of germ supports, shared by
-contraction and the support rule.  A germ's support is the ascending
-basis indices its edge slot or leaf table can carry, read off those
-tables; it also tells which half-edges can be odd.  One fold builds the
-vertex table over the supports: it multiplies basis vectors left to
-right, drops zero partial products and yields each word with a nonzero
-integral.  Contraction takes each vertex's table over its germs'
-supports in plan order; the support rule of class generation
-(`live_vertex`) asks whether the table over the supports of some marks
-is nonempty.
+leaf mark, and one vertex table per tuple of germ supports, which only
+contraction builds.  A germ's support is the ascending basis indices its
+edge slot or leaf table can carry, read off those tables; it also tells
+which half-edges can be odd.  One fold builds the vertex table over the
+supports: it multiplies basis vectors left to right, drops zero partial
+products and yields each word with a nonzero integral.  Contraction
+takes each vertex's table over its germs' supports in plan order.
+
+The support rule of class generation (`live_vertex`) builds no table.
+It asks whether some word over the supports of some marks integrates
+nonzero, which holds exactly when the integral is nonzero on the span
+of those words.  That span is kept as a row-reduced basis of at most
+dim rows, built one slot at a time from the span one slot shorter, so
+its cost grows with the arity rather than exponentially; each prefix's
+span and each answer are kept in the memo too.
 
 `oracle_evaluate` recomputes the same value by brute enumeration of all
 nonzero edge/leaf terms with signs from an explicit bubble sort.  It
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 
 from .algebra import derive_ops
@@ -244,18 +249,73 @@ def _vertex_tensor(alg, supports):
     return alg.memo(("vertex", supports), lambda: dict(_fold(alg, supports)))
 
 
-def live_vertex(alg, marks):
-    """Whether some entry of the vertex table fits a vertex whose germs
-    carry these marks: whether its table over the germs' supports, an
-    edge mark's taken over either leg, is nonempty (the table is
-    graded-symmetric, so one order of the germs serves)."""
-    marks = sorted(marks)
-    support = {}
-    for mark in set(marks):
+def _support(alg, mark):
+    """The ascending basis indices a germ with this mark can carry: those
+    on either leg of its edge table, or in its leaf table."""
+    def build():
         table = (_edge_tensor(alg, mark, False) if mark in EDGE_MARKS
                  else _leaf_tensor(alg, mark))
-        support[mark] = tuple(sorted({i for key in table for i in key}))
-    return bool(_vertex_tensor(alg, tuple(map(support.get, marks))))
+        return tuple(sorted({i for key in table for i in key}))
+    return alg.memo(("support", mark), build)
+
+
+def _reduce(basis, vec):
+    """vec reduced by an echelon basis {pivot: row}, each row zero below
+    its pivot: empty, or with its least index no pivot.  Integer rows
+    stay integer: a step scales vec by the row's pivot entry and divides
+    out the common factor."""
+    while vec:
+        p = min(vec)
+        row = basis.get(p)
+        if row is None:
+            return vec
+        a, b = row[p], vec[p]
+        keys = vec.keys() | row.keys()
+        vec = {k: a * vec.get(k, 0) - b * row.get(k, 0) for k in keys}
+        vec = {k: x for k, x in vec.items() if x}
+        if all(type(x) is int for x in vec.values()):
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {k: x // g for k, x in vec.items()}
+    return vec
+
+
+def _span(alg, supports):
+    """An echelon basis {pivot: row} of the span of the words e_k1 .. e_kn
+    with k_s in supports[s], built one slot at a time from the span of
+    the words one slot shorter, each prefix's basis kept in the memo."""
+    def build():
+        if not supports:
+            return {alg.unit: {alg.unit: 1}}
+        basis = {}
+        for row in _span(alg, supports[:-1]).values():
+            for i in supports[-1]:
+                vec = _reduce(basis, alg.multiply(row, {i: 1}))
+                if vec:
+                    basis[min(vec)] = vec
+        return basis
+    return alg.memo(("span", supports), build)
+
+
+def live_vertex(alg, marks):
+    """Whether a vertex whose germs carry these marks can be nonzero:
+    whether some word e_k1 .. e_kn, each k_s in its germ's support,
+    integrates nonzero.  The integral is linear, so that holds exactly
+    when it is nonzero on the span of those words: on some basis row of
+    the span one slot shorter times some e_i of the last support.  The
+    product is graded-commutative, so one order of the germs serves, and
+    sorted marks share their prefixes' spans.  Each answer is kept in
+    the memo."""
+    marks = tuple(sorted(marks))
+
+    def search():
+        supports = tuple(_support(alg, mark) for mark in marks)
+        if not supports:
+            return bool(alg.integral[alg.unit])
+        return any(alg.integrate(alg.multiply(row, {i: 1}))
+                   for row in _span(alg, supports[:-1]).values()
+                   for i in supports[-1])
+    return alg.memo(("live", marks), search)
 
 
 # ---------------------------------------------------------------------------

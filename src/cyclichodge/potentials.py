@@ -73,19 +73,33 @@ Given an algebra, a split whose new vertex w is zero there is dropped
 before the canonical test.  Later splits move germs off vertex 0 only,
 so w keeps its three germs for good, and each germ's mark fixes the
 basis indices it can carry: a GG half-edge those on either leg of the
-GG edge table, an E<k> leaf those of H_0.  If the vertex table over
-these supports is empty, every term of every graph grown from the child
-is zero.  The finished vertex 0 takes the same test at its arity.  The
-test is `contract.live_vertex`, and its tables are the contraction's:
-one vertex table per tuple of germ supports, shared by contraction and
-the support rule.  The rule keeps every nonzero class, since such a
-class has no zero vertex, and the argument above holds under it:
-contracting a kept class's canonical edge gives a graph whose vertices
-other than vertex 0 are vertices of the class, so its class is in the
-previous layer, and the split that restores the class makes one of its
-vertices, which passes the rule.  Over an algebra with no 4-blocks the
-GG table is empty, so only a rose with no GG loop that needs no split
-is kept.
+GG edge table, an E<k> leaf those of H_0.  If no word over these
+supports integrates nonzero (`contract.live_vertex`), every term of
+every graph grown from the child is zero.
+
+Vertex 0 is tested ahead.  Its IDLOOP ends and its arrow never move,
+and a split takes k of its GG germs and 2 - k of its E0 leaves (k = 0,
+1 or 2) and gives one GG germ back, making a vertex that carries GG and
+the two germs taken.  So what matters is the fixed marks, the two
+counts and the number of splits left.  A split is an allowed move when
+its new vertex is live, and a state can end live when some sequence of
+allowed moves, one per split left, ends at a live vertex 0; with no
+split left, when vertex 0 itself is live.  This reachability is
+memoised with the algebra (`CHAlgebra.memo`).  A rose is tested from
+its counts before it is built, and each child, with the splits left
+after it, before its canonical test; with none left that is the test
+of the finished vertex 0.
+
+The rules keep every nonzero class, since such a class has no zero
+vertex: from the state of any graph on the way to it, the splits still
+to come and its finished vertex 0 are a sequence of allowed moves that
+ends live.  The argument above holds under them: contracting a kept
+class's canonical edge gives a graph whose vertices other than vertex 0
+are vertices of the class, so its class is in the previous layer (the
+split that restores the class is an allowed move, and ends at the
+class), and that split makes one of the class's vertices, which passes
+the rule.  Over an algebra with no 4-blocks the GG table is empty, so
+only a rose with no GG loop that needs no split is kept.
 """
 
 from __future__ import annotations
@@ -226,22 +240,54 @@ def _canonical(graph):
     return a == b
 
 
+def _counts(graph):
+    """Vertex 0's counts of GG germs (a loop's two ends both count) and
+    of E0 leaves."""
+    return (sum((u == 0) + (v == 0) for u, v, mark in graph.edges
+                if mark == "GG"),
+            graph.leaves.count((0, "E0")))
+
+
+def _reach(alg, fixed, gg, e0, left):
+    """Whether `left` more splits can each make a live vertex and leave
+    vertex 0 live, vertex 0 carrying the marks `fixed` that no split
+    moves, gg GG germs and e0 E0 leaves.  A split takes k GG germs and
+    2 - k E0 leaves and gives one GG germ back; its new vertex carries
+    GG and the two germs taken."""
+    def search():
+        if not left:
+            return live_vertex(alg, fixed + ("GG",) * gg + ("E0",) * e0)
+        return any(gg >= k and e0 >= 2 - k
+                   and live_vertex(alg, ("GG",) * (k + 1) + ("E0",) * (2 - k))
+                   and _reach(alg, fixed, gg + 1 - k, e0 - 2 + k, left - 1)
+                   for k in range(3))
+    return alg.memo(("reach", fixed, gg, e0, left), search)
+
+
+def _children(layer, alg, fixed, left):
+    """The children of the layer's canonical graphs; given an algebra,
+    only those whose vertex 0 can still end live after `left` more
+    splits.  A generator function, so each layer binds its own `left`
+    when it is called."""
+    for graph in filter(_canonical, layer):
+        for child in _split(graph, alg):
+            if alg is None or _reach(alg, fixed, *_counts(child), left):
+                yield child
+
+
 def _classes(roses, valid, alg):
-    """The weighted classes grown from each rose by its number of splits,
-    as canonical representatives in canonical-form order; given an
-    algebra, only those with no vertex that is zero over it."""
+    """The weighted classes grown from each (rose, the marks at vertex 0
+    that no split moves, number of splits), as canonical representatives
+    in canonical-form order; given an algebra, only those with no vertex
+    that is zero over it."""
     found = {}
-    for rose, splits in roses:
+    for rose, fixed, splits in roses:
         # a graph takes the canonical test only when it is split or
-        # finished, after the finished vertex 0's test, which is cheaper
-        # than the search of a tie
+        # finished, after the look-ahead, which is cheaper than the
+        # search of a tie
         layer = [rose]
-        for _ in range(splits):
-            layer = (child for graph in layer if _canonical(graph)
-                     for child in _split(graph, alg))
-        if alg is not None:
-            layer = (graph for graph in layer
-                     if live_vertex(alg, map(graph.mark, graph.germs()[0])))
+        for left in reversed(range(splits)):
+            layer = _children(layer, alg, fixed, left)
         for graph in filter(_canonical, layer):
             key = graph.canonical_form()
             assert key not in found, graph
@@ -264,10 +310,10 @@ def enumerate_sm(g, L, alg=None):
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     V = 2 * g - 2 + L
-    if V < 1:
+    if V < 1 or alg is not None and not _reach(alg, (), 2 * g, L, V - 1):
         return []
     rose = MarkedGraph(1, [(0, 0, "GG")] * g, [(0, "E0")] * L)
-    return _classes([(rose, V - 1)],
+    return _classes([(rose, (), V - 1)],
                     lambda graph: is_valid_smooth_graph(graph, g), alg)
 
 
@@ -283,12 +329,14 @@ def enumerate_desc(g, n, L, alg=None):
     for handles in range(g + 1):
         mprime = n + 3 - 3 * handles
         V = 2 * g - 2 * handles - mprime + L + 2
-        if mprime < 1 or V < 1:
+        fixed = (f"E{n}",) + ("IDLOOP",) * (2 * handles)
+        if mprime < 1 or V < 1 or alg is not None and not _reach(
+                alg, fixed, 2 * (g - handles), L, V - 1):
             continue
         rose = MarkedGraph(1, [(0, 0, "GG")] * (g - handles)
                            + [(0, 0, "IDLOOP")] * handles,
                            [(0, f"E{n}")] + [(0, "E0")] * L)
-        roses.append((rose, V - 1))
+        roses.append((rose, fixed, V - 1))
     return _classes(roses,
                     lambda graph: is_valid_descendant_graph(graph, g, n), alg)
 

@@ -167,8 +167,13 @@ def _evaluate(alg, table, degree, free, sides):
             bound = dict(env)
             for (i, j, *_), (x, y, _) in zip(pairs, combo):
                 bound[i], bound[j] = x, y
-            parts = [value(f, bound) for f in factors]
-            if all(parts):
+            # the first zero factor settles the product
+            parts = []
+            for f in factors:
+                parts.append(value(f, bound))
+                if not parts[-1]:
+                    break
+            else:
                 weight = reduce(mul, (c for _, _, c in combo), Fraction(coeff))
                 total = total + reduce(mul, parts, weight)
         return total
@@ -191,8 +196,9 @@ def _check(relation, alg, table, degree, params, free, lhs, rhs,
     residuals, constants = {}, {}
     for label, sides in _evaluate(alg, table, degree, free, (lhs, rhs)):
         residuals[label] = _difference(*sides).truncate(total_degree=degree)
-        constants[label] = [format_rational(t.constant_term())
-                            for t in sides[1] + sides[0]]
+        if breakdown:
+            constants[label] = [format_rational(t.constant_term())
+                                for t in sides[1] + sides[0]]
     if breakdown:
         details = {"term_constants": constants}
     return _finish(relation, degree, params, residuals, details)

@@ -4,7 +4,6 @@ hand-built variant scaled2, a perturbed potential table, a vertex
 relabeling, and a random-graph generator for fuzz comparisons."""
 
 import json
-import random
 from importlib import resources
 
 import pytest

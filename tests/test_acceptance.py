@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from cyclichodge.algebra import check_axioms, parse_algebra
 from cyclichodge.contract import evaluate_graph, oracle_evaluate, random_plan
-from cyclichodge.graphs import MarkedGraph
 from cyclichodge.poly import Poly, parse_rational
 from cyclichodge.potentials import (
     PotentialTable, enumerate_desc, enumerate_sm, kdv_coefficient,

@@ -49,7 +49,7 @@ def reference_classes(roses, valid, alg):
     canonical form after each layer; given an algebra, only those whose
     finished vertex 0 can be nonzero too."""
     found = {}
-    for rose, splits in roses:
+    for rose, _, splits in roses:
         layer = {rose.canonical_form(): rose}
         for _ in range(splits):
             layer = {child.canonical_form(): child
@@ -113,12 +113,14 @@ def test_checked_graphs_match_public_twins(request, monkeypatch, name):
         assert graph.is_connected() == twin.is_connected()
 
 
-@pytest.mark.parametrize("name", [None, "live8"])
+@pytest.mark.parametrize("name", [None, "loop8"])
 def test_split_parents_fix_vertex_zero(request, monkeypatch, name):
     # `_split` names a pair by its far ends and reads their orbits under
     # every automorphism: sound because each graph it splits has vertex 0
     # alone in its vertex orbit (degree >= 4 or the arrow there, every
-    # other vertex trivalent)
+    # other vertex trivalent).  Over an algebra the check runs on loop8,
+    # whose GG cycles keep split parents with a nontrivial vertex orbit
+    # under the look-ahead (live8's few parents there have none)
     alg = None if name is None else request.getfixturevalue(name)
     parents = []
     split = potentials._split
@@ -134,7 +136,7 @@ def test_split_parents_fix_vertex_zero(request, monkeypatch, name):
         ids = graph.orbits(range(graph.n_vertices), lambda p, v: p[v])
         assert ids[0] not in ids[1:], graph
         symmetric += len(set(ids)) < graph.n_vertices
-    assert symmetric > 0
+    assert symmetric > 0, len(parents)
 
 
 def counted(monkeypatch, build):

@@ -5,9 +5,12 @@ oracle.
 Dropped graphs are evaluated by `oracle_evaluate` where they have at most
 nine half-edges and by `evaluate_graph` elsewhere, over the oracle grid
 g <= 2, n <= 4, L <= 4 of `tests/test_class_weights.py`.  There is one
-vertex table per tuple of germ supports, shared by contraction and the
-support rule; each is checked against the full table and against
-`integrate_basis_word`.
+vertex table per tuple of germ supports, contraction's alone; each is
+checked against the full table and against `integrate_basis_word`.  The
+rule's test, `live_vertex`, spans the words over the supports instead,
+and must answer as the table does.  Its look-ahead reads the splits left
+at each layer, which the genus <= 2 lists barely exercise, so cubic6's
+potentials above genus 2 are checked too.
 """
 
 import random
@@ -22,10 +25,13 @@ from cyclichodge.contract import (bivector, evaluate_graph, leaf_vector,
                                   live_vertex, mark_matrix, oracle_evaluate)
 from cyclichodge.poly import Poly
 from cyclichodge.potentials import PotentialTable, enumerate_desc, enumerate_sm
-from cyclichodge.relations import run_battery
+from cyclichodge.relations import run_battery, run_check
 
 GRID = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
         if n or 2 * g - 2 + L >= 1]
+# the builtins whose H_0 is purely even, so that coupling leaves and
+# potentials are defined over them
+EVEN_H0 = ("trivial", "dual2", "block6", "live8", "loop8", "cubic6")
 
 
 def value(alg, graph):
@@ -121,10 +127,10 @@ def test_live8_keeps_its_gg_tree(live8):
 
 
 def test_vertex_tables_keyed_by_supports(monkeypatch):
-    # contraction and the support rule share one vertex memo: every key
-    # is a tuple of germ supports, each the ascending indices that an
-    # edge table puts on one leg or on either, or a leaf table carries,
-    # and a battery builds each key's table once
+    # the vertex memo is contraction's alone: class generation builds no
+    # vertex table.  Every key is a tuple of germ supports, each the
+    # ascending indices that an edge table puts on one leg or on either,
+    # or a leaf table carries, and a battery builds each key's table once
     alg = load_builtin("block6")
     built = []
     fold = contract._fold
@@ -134,7 +140,11 @@ def test_vertex_tables_keyed_by_supports(monkeypatch):
         return fold(alg, supports)
 
     monkeypatch.setattr(contract, "_fold", counted)
-    assert all(r.ok for r in run_battery(alg, 2, 2))
+    lists = PotentialTable(alg)
+    assert sum(len(lists.classes(g, n, L)) for g, n, L in GRID) > 0
+    assert not built
+    assert not any(key[:1] == ("vertex",) for key in alg._memo)
+    assert all(r.ok for r in run_battery(alg, 2, 2, table=lists))
     keys = {key[1] for key in alg._memo if key[:1] == ("vertex",)}
     assert keys and len(built) == len(set(built)) and set(built) == keys
     slots = set()
@@ -154,9 +164,9 @@ def test_vertex_tables_keyed_by_supports(monkeypatch):
 @pytest.mark.parametrize("name",
                          ["block6", "dual2", "live8", "loop8", "cubic6"])
 def test_one_fold_builds_tables_and_rule(request, name):
-    # the support rule and the vertex tables share one fold: the rule
-    # must answer as the full table does, and the table must hold exactly
-    # the words that integrate_basis_word, the oracle's fold, finds
+    # the vertex tables come from one fold and must hold exactly the
+    # words that integrate_basis_word, the oracle's fold, finds; the
+    # support rule must answer as the full table does
     alg = request.getfixturevalue(name)
     marks = ("GG", "E0", "E1", "IDLOOP")
     support = {m: {i for key in bivector(alg, mark_matrix(alg, m), False)
@@ -204,3 +214,42 @@ def test_tables_over_random_supports(name):
                              if all(map(tuple.__contains__, supports, key))}
             for word in product(*supports):
                 assert table.get(word, 0) == alg.integrate_basis_word(word)
+
+
+@pytest.mark.parametrize("name", EVEN_H0)
+def test_live_vertex_matches_tables(name):
+    # the span test answers as the vertex table over the germs' supports
+    # does, on every multiset of up to eight of these marks; E0 and E1
+    # share a support but sort apart, so spans of shared prefixes meet
+    # different last slots
+    alg = load_builtin(name)
+    marks = ("E0", "E1", "GG", "IDLOOP", "UNIT")
+    support = {m: tuple(sorted({i for key in bivector(alg, mark_matrix(alg, m),
+                                                      False) for i in key}))
+               for m in ("GG", "IDLOOP")}
+    support.update((m, tuple(sorted(leaf_vector(alg, m))))
+                   for m in ("E0", "E1", "UNIT"))
+    answers = set()
+    for arity in range(9):
+        for germs in combinations_with_replacement(marks, arity):
+            table = contract._vertex_tensor(alg, tuple(map(support.get, germs)))
+            assert live_vertex(alg, germs) == bool(table), germs
+            answers.add(bool(table))
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("relation", ["string", "dilaton"])
+@pytest.mark.parametrize("genus", [3, 4])
+def test_cubic6_above_genus_two(cubic6, genus, relation):
+    # the look-ahead prunes these lists hardest; each check passes
+    assert run_check(cubic6, relation, 3, genus=genus).ok
+
+
+def test_cubic6_gaussian_weights(cubic6):
+    # F_g of cubic6 at no leaves is a sum over GG graphs whose vertex 0
+    # takes many splits: a look-ahead that read the wrong number of
+    # splits left drops them all and gives 0
+    table = PotentialTable(cubic6)
+    assert [table.potential(g, 0, 0) for g in (3, 4, 5)] == [
+        Poly.const(Fraction(5, 16)), Poly.const(Fraction(1105, 1152)),
+        Poly.const(Fraction(565, 128))]
