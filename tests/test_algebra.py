@@ -132,39 +132,39 @@ class TestDerivedOps:
 
 
 BAD_FORMATS = [
-    ("not-a-dict", FormatError),
-    ({}, FormatError),
+    ("not-a-dict", [], FormatError),
+    ({}, [], FormatError),
     ({"dim": 0, "parity": [], "unit": 1, "product": [], "integral": [],
-      "hodge": {"H0": [], "blocks": []}}, FormatError),
+      "hodge": {"H0": [], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [2], "unit": 1, "product": [[1, 1, 1, "1"]],
-      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 2, "product": [[1, 1, 1, "1"]],
-      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1, "product": [[1, 1, 2, "1"]],
-      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1,
       "product": [[1, 1, 1, "1"], [1, 1, 1, "2"]],
-      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1, "product": [[1, 1, 1, "0.5"]],
-      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1, "product": [[1, 1, 1, "1"]],
-      "integral": ["1", "1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1", "1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1, "product": [[1, 1, 1, "1"]],
-      "integral": ["1"], "hodge": {"H0": [], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [], "blocks": []}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1, "product": [[1, 1, 1, "1"]],
-      "integral": ["1"], "hodge": {"H0": [1, 1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1, 1], "blocks": []}}, [], FormatError),
     ({"dim": 5, "parity": [0, 0, 1, 0, 1], "unit": 1,
       "product": [[1, 1, 1, "1"]], "integral": ["1", "0", "0", "0", "0"],
-      "hodge": {"H0": [1, 2], "blocks": [[3, 4, 5]]}}, FormatError),
+      "hodge": {"H0": [1, 2], "blocks": [[3, 4, 5]]}}, [], FormatError),
     ({"dim": 1, "parity": [0], "unit": 1, "product": [[1, 1, 1, "1"]],
       "Q": [[1, 1, "1"], [1, 1, "1"]],
-      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, FormatError),
+      "integral": ["1"], "hodge": {"H0": [1], "blocks": []}}, [], FormatError),
 ]
 
 
 class TestFormatErrors:
-    @pytest.mark.parametrize("obj, exc", BAD_FORMATS)
-    def test_rejected(self, obj, exc):
+    @pytest.mark.parametrize("obj, _, exc", BAD_FORMATS)
+    def test_rejected(self, obj, _, exc):
         with pytest.raises(exc):
             parse_algebra(obj)
 
