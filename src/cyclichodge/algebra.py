@@ -10,7 +10,11 @@ engine.  This module loads such algebras from JSON, computes the derived
 operators, and runs the axiom battery with witnesses.
 
 Axioms are data: `check_axioms` runs one table of 25 named checks, each
-yielding its failures in a fixed order, and reports the first.  For
+yielding its failures in a fixed order, and reports the first.  Its cost
+follows the nonzero structure constants: a check over triples
+(associativity, the seven-term relation) sums each term over the nonzero
+entries of a table of basis products, and its witness is the least
+failing triple (i, j, k); matrix products walk nonzero entries.  For
 basis vectors a, b, c of parities p_a, p_b, p_c, with s_x = (-1)^p_x,
 int the integral, str the supertrace and G = G_-, the checks are, in
 order:
@@ -46,12 +50,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
 from .graded import (EVEN, ODD, SingularMatrixError, exact, identity_matrix,
                      mat_add, mat_apply, mat_inverse, mat_mul, mat_sub,
-                     supertrace)
+                     supertrace, transpose)
 from .poly import format_rational, parse_rational
 
 
@@ -135,11 +138,12 @@ class CHAlgebra:
         return self.integrate(vec)
 
     def gram(self):
-        """Matrix of the scalar product (e_i, e_j) = integral(e_i e_j)."""
-        e = self.basis_vector
-        return tuple(tuple(self.integrate(self.multiply(e(i), e(j)))
-                           for j in range(self.dim))
-                     for i in range(self.dim))
+        """Matrix of the scalar product (e_i, e_j) = integral(e_i e_j),
+        read off the product terms."""
+        integral = self.integral
+        return tuple(tuple(exact(sum(c * integral[k] for k, c in terms))
+                           for terms in row)
+                     for row in self.product)
 
     def basis_vector(self, i):
         return {i: 1}
@@ -361,13 +365,21 @@ def check_axioms(alg):
     """Run every axiom and derived-consistency check; never raises.
 
     Each table entry is (name, failures): failures yields (0-based
-    witness, detail) in a fixed order, and the first one is reported."""
-    par, unit, der = alg.parity, alg.unit, derive_ops(alg)
-    basis = range(alg.dim)
+    witness, detail) in a fixed order, and the first one is reported.
+
+    The products of at most two basis vectors are made once: e_i e_j
+    from the product rows, and for Q and G_- the images op(e_i),
+    op(e_i e_j), op(e_i) e_j and e_i op(e_j).  The checks over pairs read
+    these tables.  Each term of a check over triples is one table entry
+    times one basis product, so its defect is a sum over the nonzero
+    entries of the two (`least_triple`), and the witness is the least
+    triple (i, j, k) whose defect is nonzero: the first a loop over the
+    triples in order would meet.  The integral-adjoint checks compare
+    op^T Gram with Gram op."""
+    n, par, unit, der = alg.dim, alg.parity, alg.unit, derive_ops(alg)
+    basis = range(n)
     pairs = list(product(basis, repeat=2))
-    triples = list(product(basis, repeat=3))
-    e, mul, integ = alg.basis_vector, alg.multiply, alg.integrate
-    Q, G, GP = (partial(mat_apply, m) for m in (alg.q, alg.gminus, der.gplus))
+    sgn = [(-1) ** p for p in par]
 
     def combo(*terms):
         """The sparse vector sum of c * v over the (c, v) in terms."""
@@ -376,6 +388,47 @@ def check_axioms(alg):
             for k, x in v.items():
                 out[k] = out.get(k, 0) + c * x
         return {k: x for k, x in out.items() if x}
+
+    def lin(v, vectors):
+        """The sparse vector sum of c * vectors[m] over the entries of v."""
+        out = {}
+        for m, c in v.items():
+            for k, x in vectors[m].items():
+                out[k] = out.get(k, 0) + c * x
+        return {k: x for k, x in out.items() if x}
+
+    def least_triple(*terms):
+        """The least 0-based triple (i, j, k) at which the summed terms
+        are a nonzero vector, or None.  A term (sign, x, "pq", y, "rs")
+        is the sum over m of sign(p, q) x[p][q][m] * y[r][s], where p, q
+        and the index of y other than m name slots of (i, j, k).
+        Coordinate l at (i, j, k) is kept under the key
+        ((i n + j) n + k) n + l, so the least nonzero key gives the
+        least failing triple."""
+        weight = {"i": n ** 3, "j": n ** 2, "k": n}
+        acc = {}
+        get = acc.get
+        for sign, x, (s1, s2), y, (r, s) in terms:
+            # offsets[m]: (key offset of coordinate l at the free slot, y
+            # coefficient) over the nonzero entries of y with m in place
+            w = weight[s if r == "m" else r]
+            rows = y if r == "m" else list(zip(*y))
+            offsets = [[(free * w + l, d) for free, v in enumerate(row)
+                        for l, d in v.items()] for row in rows]
+            w1, w2 = weight[s1], weight[s2]
+            for p, q in pairs:
+                v = x[p][q]
+                sp = sign(p, q) if v else 0
+                if not sp:
+                    continue
+                base = p * w1 + q * w2
+                for m, c in v.items():
+                    c *= sp
+                    for off, d in offsets[m]:
+                        acc[base + off] = get(base + off, 0) + c * d
+        key = min((key for key, c in acc.items() if c), default=None)
+        if key is not None:
+            return key // n ** 3, key // n ** 2 % n, key // n % n
 
     def nonzero(mat, detail, cells=pairs):
         return (((i, j), detail) for i, j in cells if mat[i][j])
@@ -390,34 +443,51 @@ def check_axioms(alg):
             return False
         return True
 
-    # the products of at most two basis vectors that the checks over
-    # pairs and triples share, made once per battery: e_i e_j, and for
-    # the seven-term relation G(e_i e_j), G(e_i) e_j, e_i G(e_j), G(e_i)
-    g_basis = [G(e(i)) for i in basis]
-    ab = [[mul(e(i), e(j)) for j in basis] for i in basis]
-    g_ab = [[G(v) for v in row] for row in ab]
-    ga_b = [[mul(g_basis[i], e(j)) for j in basis] for i in basis]
-    a_gb = [[mul(e(i), g_basis[j]) for j in basis] for i in basis]
+    ab = [[dict(terms) for terms in row] for row in alg.product]
+    ab_columns = list(zip(*ab))
 
-    def seven_term_defect(i, j, k):
-        a, b, c = e(i), e(j), e(k)
-        sa = (-1) ** par[i]
-        return combo(
-            (1, G(mul(ab[i][j], c))), (-1, mul(g_ab[i][j], c)),
-            (-(-1) ** (par[j] * (par[i] + 1)), mul(b, g_ab[i][k])),
-            (-sa, mul(a, g_ab[j][k])), (1, mul(ga_b[i][j], c)),
-            (sa, mul(a_gb[i][j], c)),
-            ((-1) ** (par[i] + par[j]), mul(ab[i][j], g_basis[k])))
+    def op_tables(mat):
+        """op(e_i), and per pair op(e_i e_j), op(e_i) e_j, e_i op(e_j)."""
+        img = [mat_apply(mat, {i: 1}) for i in basis]
+        return (img, [[lin(v, img) for v in row] for row in ab],
+                [[lin(img[i], ab_columns[j]) for j in basis] for i in basis],
+                [[lin(img[j], ab[i]) for j in basis] for i in basis])
 
-    def supertrace_of(f):
-        """Supertrace of the linear map f, read off basis vectors."""
-        return sum((-1) ** par[j] * f(e(j)).get(j, 0) for j in basis)
+    q_img, q_ab, qa_b, a_qb = op_tables(alg.q)
+    g_img, g_ab, ga_b, a_gb = op_tables(alg.gminus)
+    # s_i e_i e_j, for the terms whose sign follows their free slot
+    sab = [[{k: sgn[i] * c for k, c in v.items()} for v in row]
+           for i, row in enumerate(ab)]
+
+    def plus(p, q):
+        return 1
+
+    def minus(p, q):
+        return -1
+
+    # (ab)c - a(bc)
+    associativity = least_triple((plus, ab, "ij", ab, "mk"),
+                                 (minus, ab, "jk", ab, "im"))
+    # G(abc) - G(ab)c - s_b^(p_a + 1) b G(ac) - s_a a G(bc) + G(a)bc
+    # + s_a a G(b) c + s_a s_b ab G(c), the b G(ac) term split by the
+    # parity of a
+    seven_term = least_triple(
+        (plus, ab, "ij", g_ab, "mk"),
+        (minus, g_ab, "ij", ab, "mk"),
+        (lambda i, k: -par[i], g_ab, "ik", ab, "jm"),
+        (lambda i, k: par[i] - 1, g_ab, "ik", sab, "jm"),
+        (minus, g_ab, "jk", sab, "im"),
+        (plus, ga_b, "ij", ab, "mk"),
+        (lambda i, j: sgn[i], a_gb, "ij", ab, "mk"),
+        (lambda i, j: sgn[i] * sgn[j], ab, "ij", a_gb, "mk"))
 
     def adjoint(op, label, flip):
-        # int(op(a) b) = (-1)^(p_a + flip) int(a op(b))
+        # int(op(a) b) = (-1)^(p_a + flip) int(a op(b)), entrywise
+        # op^T Gram = (-1)^(p_i + flip) Gram op
+        left = mat_mul(transpose(op), der.gram)
+        right = mat_mul(der.gram, op)
         return (((i, j), f"{label} is not integral-adjoint") for i, j in pairs
-                if integ(mul(op(e(i)), e(j)))
-                != (-1) ** (par[i] + flip) * integ(mul(e(i), op(e(j)))))
+                if left[i][j] != (-1) ** (par[i] + flip) * right[i][j])
 
     same_parity = [(i, j) for i, j in pairs if par[i] == par[j]]
     on_h0 = [(i, j) for j in alg.h0 for i in basis]
@@ -427,9 +497,9 @@ def check_axioms(alg):
                          for p in [par[unit]] if p != EVEN)),
         ("unit-multiplication", (
             (w, d) for i in basis
-            for w, d, x, y in (((unit, i), "1 * e != e", e(unit), e(i)),
-                               ((i, unit), "e * 1 != e", e(i), e(unit)))
-            if mul(x, y) != e(i))),
+            for w, d, v in (((unit, i), "1 * e != e", ab[unit][i]),
+                            ((i, unit), "e * 1 != e", ab[i][unit]))
+            if v != {i: 1})),
         ("product-parity", (((i, j, k), "product entry breaks parity")
                             for i, j in pairs for k, _ in alg.product[i][j]
                             if (par[i] + par[j] + par[k]) % 2)),
@@ -438,8 +508,8 @@ def check_axioms(alg):
             for i, j in pairs if i <= j
             and combo((1, ab[i][j]),
                       (-(-1) ** (par[i] * par[j]), ab[j][i])))),
-        ("associativity", (((i, j, k), "(ab)c != a(bc)") for i, j, k in triples
-                           if mul(ab[i][j], e(k)) != mul(e(i), ab[j][k]))),
+        ("associativity", ((w, "(ab)c != a(bc)") for w in [associativity]
+                           if w is not None)),
         ("integral-parity", (((i,), "integral of an odd vector must vanish")
                              for i in basis
                              if par[i] == ODD and alg.integral[i])),
@@ -461,33 +531,32 @@ def check_axioms(alg):
         ("block-structure", (
             ((x, y), f"{s} != ({s}) generator of the block")
             for a, b, c, d in alg.blocks
-            for op, x, y, s in ((Q, a, b, "Q e"), (G, a, c, "G_- e"),
-                                (Q, c, d, "Q G_- e"))
-            if op(e(x)) != e(y))),
+            for img, x, y, s in ((q_img, a, b, "Q e"), (g_img, a, c, "G_- e"),
+                                 (q_img, c, d, "Q G_- e"))
+            if img[x] != {y: 1})),
         ("q-leibniz", (((i, j), "Q(ab) != Q(a)b + (-1)^pa a Q(b)")
                        for i, j in pairs
-                       if combo((1, Q(ab[i][j])),
-                                (-1, mul(Q(e(i)), e(j))),
-                                (-(-1) ** par[i], mul(e(i), Q(e(j))))))),
-        ("gminus-seven-term", (((i, j, k), "seven-term relation fails")
-                               for i, j, k in triples
-                               if seven_term_defect(i, j, k))),
+                       if combo((1, q_ab[i][j]), (-1, qa_b[i][j]),
+                                (-sgn[i], a_qb[i][j])))),
+        ("gminus-seven-term", ((w, "seven-term relation fails")
+                               for w in [seven_term] if w is not None)),
         ("one-twelfth", (
             ((i,), f"str(G_- a*) = {format_rational(lhs)} but "
                    f"(1/12) str(G_-(a)*) = {format_rational(rhs)}")
             for i in basis
-            for lhs, rhs in [(supertrace_of(lambda x: G(mul(e(i), x))),
-                              Fraction(supertrace_of(partial(mul, G(e(i)))),
-                                       12))]
+            for lhs, rhs in [(sum(sgn[j] * g_ab[i][j].get(j, 0)
+                                  for j in basis),
+                              Fraction(sum(sgn[j] * ga_b[i][j].get(j, 0)
+                                           for j in basis), 12))]
             if lhs != rhs)),
-        ("q-integral-adjoint", adjoint(Q, "Q", 1)),
-        ("gminus-integral-adjoint", adjoint(G, "G_-", 0)),
+        ("q-integral-adjoint", adjoint(alg.q, "Q", 1)),
+        ("gminus-integral-adjoint", adjoint(alg.gminus, "G_-", 0)),
         ("gplus-squared", nonzero(mat_mul(der.gplus, der.gplus),
                                   "G_+^2 has a nonzero entry")),
         ("gplus-gminus-anticommutator", nonzero(
             anticommutator(der.gplus, alg.gminus),
             "G_-G_+ + G_+G_- does not vanish")),
-        ("gplus-integral-adjoint", adjoint(GP, "G_+", 0)),
+        ("gplus-integral-adjoint", adjoint(der.gplus, "G_+", 0)),
         ("pi4-idempotent", (((), "Pi_4 is not idempotent")
                             for sq in [mat_mul(der.pi4, der.pi4)]
                             if sq != der.pi4)),

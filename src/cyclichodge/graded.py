@@ -36,12 +36,21 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
+    """The product a b, summed over nonzero entries only: each nonzero
+    a[i][m] adds its multiples of the nonzero entries of row m of b."""
     if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    columns = tuple(zip(*b))
-    return tuple(tuple(exact(sum(x * y for x, y in zip(row, col) if x))
-                       for col in columns)
-                 for row in a)
+    width = len(b[0]) if b else 0
+    rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, terms in zip(row, rows):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(map(exact, acc)))
+    return tuple(out)
 
 
 def mat_add(a, b):

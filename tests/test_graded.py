@@ -52,6 +52,42 @@ class TestMatrices:
         with pytest.raises(ValueError, match="matrix must be square"):
             mat_inverse(((1, 2),))
 
+    def test_product_matches_row_by_column(self):
+        # sparse int and Fraction entries, zero rows and columns,
+        # non-square shapes; whole results are ints
+        rng = random.Random(17)
+        values = (0, 0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3),
+                  Fraction(4, 2))
+
+        def sparse(rows, cols):
+            m = [[rng.choice(values) for _ in range(cols)]
+                 for _ in range(rows)]
+            if rows and rng.random() < 0.3:
+                m[rng.randrange(rows)] = [0] * cols
+            if cols and rng.random() < 0.3:
+                col = rng.randrange(cols)
+                for row in m:
+                    row[col] = 0
+            return tuple(map(tuple, m))
+
+        for _ in range(300):
+            # a matrix without rows does not record its width, so the
+            # inner dimension is at least 1
+            n, k, m = rng.randint(0, 5), rng.randint(1, 5), rng.randint(0, 5)
+            a, b = sparse(n, k), sparse(k, m)
+            product = mat_mul(a, b)
+            assert len(product) == n
+            for i in range(n):
+                assert len(product[i]) == m
+                for j in range(m):
+                    x = product[i][j]
+                    assert x == sum(a[i][t] * b[t][j] for t in range(k))
+                    assert type(x) is int or (type(x) is Fraction
+                                               and x.denominator != 1)
+            if n:
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    mat_mul(a, sparse(k + 1, m))
+
     def test_supertrace(self):
         m = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(5)))
         assert supertrace(m, [0, 0]) == 8
