@@ -12,6 +12,7 @@ floating point enters anywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 EVEN = 0
 ODD = 1
@@ -80,24 +81,38 @@ def transpose(a):
 
 
 def mat_inverse(a):
-    """Exact inverse by Gauss-Jordan elimination with partial pivoting."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination over the
+    integers.  Row i of a, times the lcm s_i of its denominators, is row
+    i of an integer matrix b, and a^-1 is b^-1 with column j times s_j.
+    Each step clears the pivot's column from every other row with a
+    nonzero entry there, by a multiple of the pivot row, and divides the
+    row by the gcd of its entries; so each row of [b | 1] stays a whole
+    multiple of its row in Gauss-Jordan elimination.  The left half ends
+    diagonal, and each entry takes one division by its row's diagonal
+    entry at the end."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(a)]
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    aug = [[x.numerator * (s // x.denominator) for x in row]
+           + [int(i == j) for j in range(n)]
+           for i, (row, s) in enumerate(zip(a, scales))]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise SingularMatrixError("matrix is singular over Q")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(map(exact, row[n:])) for row in aug)
+            f = aug[r][col]
+            if f and r != col:
+                row = [p * x - f * y for x, y in zip(aug[r], top)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row] if g > 1 else row
+    return tuple(tuple(exact(Fraction(x * s, row[i]))
+                       for x, s in zip(row[n:], scales))
+                 for i, row in enumerate(aug))
 
 
 def supertrace(mat, parities):

@@ -69,6 +69,28 @@ one graph of the previous layer, taking one pair to the other or, if it
 swaps 0 and w, to its complement.  The split took one pair of that
 orbit, so the two children are one graph.
 
+Two look-aheads drop a child before its canonical test, so a graph they
+drop is never swept, split or tested.  Each drops only graphs with no
+class below them, while every graph on the way to a class has it below,
+so the argument above holds on the layers they keep.
+- Split count, with or without an algebra.  A split takes two germs off
+  vertex 0 and gives one back, and the last must leave vertex 0 an edge,
+  so a rose or child is dropped unless its vertex 0 has more GG germs
+  and E0 leaves than splits left.  Without an algebra this drops the
+  one-handle rose of a genus-2 level-1 sum, whose vertex 0 would end
+  with the arrow and the handle alone; with one, `_reach` below answers
+  it too.
+- Canonical look-ahead, before the last split of a primary sum.  An
+  edge between two vertices other than 0 is final: later splits move
+  germs off vertex 0 only, so its multiplicity, the leaves and loops at
+  its ends and hence its local invariant never change.  Vertex 0's E0
+  leaves and GG loops never grow, so the last split's new edge {0, w}
+  has at most the greatest invariant over every four-germ vertex 0 with
+  at most those counts and each pairing of its germs (`_last_bound`).
+  A child with a final edge of strictly greater invariant has no final
+  graph below it whose new edge is canonical, so it is dropped.  A tie
+  is kept, since it can still win on the canonical ordering.
+
 Given an algebra, a split whose new vertex w is zero there is dropped
 before the canonical test.  Later splits move germs off vertex 0 only,
 so w keeps its three germs for good, and each germ's mark fixes the
@@ -106,6 +128,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import factorial
 
@@ -189,6 +212,22 @@ def _split(graph, alg):
         yield MarkedGraph._checked(w + 1, tuple(edges), tuple(leaves))
 
 
+def _local(graph):
+    """Each vertex's counts of leaves and loops, and each non-loop edge's
+    multiplicity, keyed by its ends."""
+    V = graph.n_vertices
+    leaves, loops = [0] * V, [0] * V
+    parallel = {}
+    for (u, v, _) in graph.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            parallel[u, v] = parallel.get((u, v), 0) + 1
+    for (v, _) in graph.leaves:
+        leaves[v] += 1
+    return list(zip(leaves, loops)), parallel
+
+
 def _canonical(graph):
     """Whether the split that made the last vertex w made a canonical
     edge: whether {0, w} is in the automorphism orbit of the canonical
@@ -204,25 +243,11 @@ def _canonical(graph):
     V = graph.n_vertices
     if V == 1:
         return True
-    leaves, loops = [0] * V, [0] * V
-    parallel = {}
-    # vertex 0's degree, and whether its germs are all GG and E0
-    degree, plain = 0, True
-    for (u, v, mark) in graph.edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            parallel[u, v] = parallel.get((u, v), 0) + 1
-        if u == 0:
-            degree += 1 + (v == 0)
-            plain = plain and mark == "GG"
-    for (v, mark) in graph.leaves:
-        leaves[v] += 1
-        if v == 0:
-            degree += 1
-            plain = plain and mark == "E0"
-    local = list(zip(leaves, loops))
-    rooted = degree != 3 or not plain
+    local, parallel = _local(graph)
+    marks = ([mark for (u, v, mark) in graph.edges for end in (u, v)
+              if end == 0]
+             + [mark for (v, mark) in graph.leaves if v == 0])
+    rooted = len(marks) != 3 or not {"GG", "E0"}.issuperset(marks)
     invariant = {edge: (count, sorted((local[edge[0]], local[edge[1]])))
                  for edge, count in parallel.items()
                  if edge[0] == 0 or not rooted}
@@ -240,6 +265,45 @@ def _canonical(graph):
     return a == b
 
 
+@cache
+def _last_bound(leaves, loops):
+    """The greatest local invariant that the last split of a primary sum
+    can give its new edge {0, w} when vertex 0 has `leaves` E0 leaves and
+    `loops` GG loops, at most four and two: the greatest over every
+    four-germ vertex 0 with at most that many of each, its other germs
+    non-loop GG, and over each pairing of its germs into the two moved
+    to w and the two kept."""
+    best = ()
+    for k in range(loops + 1):
+        for e in range(min(leaves, 4 - 2 * k) + 1):
+            # a germ is the number of its loop, "E0" for a leaf or None
+            # for a non-loop GG germ
+            germs = [i // 2 for i in range(2 * k)] + ["E0"] * e
+            germs += [None] * (4 - len(germs))
+            for j in (1, 2, 3):
+                moved = (germs[0], germs[j])
+                kept = [x for i, x in enumerate(germs) if i not in (0, j)]
+                ends = [(side.count("E0"),
+                         sum(side.count(i) == 2 for i in range(k)))
+                        for side in (moved, kept)]
+                split = sum(moved.count(i) == 1 for i in range(k))
+                best = max(best, (1 + split, sorted(ends)))
+    return best
+
+
+def _may_win(graph):
+    """Whether the last split of a primary sum, still to come, can make a
+    canonical edge: whether no edge away from vertex 0, final already,
+    has a local invariant greater than `_last_bound` of vertex 0's
+    counts."""
+    local, parallel = _local(graph)
+    leaves, loops = local[0]
+    # four germs hold at most four leaves and two loops
+    bound = _last_bound(min(leaves, 4), min(loops, 2))
+    return all((count, sorted((local[u], local[v]))) <= bound
+               for (u, v), count in parallel.items() if u)
+
+
 def _counts(graph):
     """Vertex 0's counts of GG germs (a loop's two ends both count) and
     of E0 leaves."""
@@ -253,7 +317,12 @@ def _reach(alg, fixed, gg, e0, left):
     vertex 0 live, vertex 0 carrying the marks `fixed` that no split
     moves, gg GG germs and e0 E0 leaves.  A split takes k GG germs and
     2 - k E0 leaves and gives one GG germ back; its new vertex carries
-    GG and the two germs taken."""
+    GG and the two germs taken.  Without an algebra every vertex is
+    live, and the counts answer: vertex 0 needs more germs than splits
+    left, so that the last split leaves it an edge."""
+    if alg is None:
+        return not left or gg + e0 > left
+
     def search():
         if not left:
             return live_vertex(alg, fixed + ("GG",) * gg + ("E0",) * e0)
@@ -265,13 +334,16 @@ def _reach(alg, fixed, gg, e0, left):
 
 
 def _children(layer, alg, fixed, left):
-    """The children of the layer's canonical graphs; given an algebra,
-    only those whose vertex 0 can still end live after `left` more
-    splits.  A generator function, so each layer binds its own `left`
-    when it is called."""
+    """The children of the layer's canonical graphs that can still have a
+    class below them: those that can make `left` more splits, given an
+    algebra with a live vertex 0 at the end, and in a primary sum (no
+    fixed marks) before its last split, those whose last edge can still
+    be canonical.  A generator function, so each layer binds its own
+    `left` when it is called."""
     for graph in filter(_canonical, layer):
         for child in _split(graph, alg):
-            if alg is None or _reach(alg, fixed, *_counts(child), left):
+            if _reach(alg, fixed, *_counts(child), left) and (
+                    fixed or not left or _may_win(child)):
                 yield child
 
 
@@ -310,7 +382,7 @@ def enumerate_sm(g, L, alg=None):
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     V = 2 * g - 2 + L
-    if V < 1 or alg is not None and not _reach(alg, (), 2 * g, L, V - 1):
+    if V < 1 or not _reach(alg, (), 2 * g, L, V - 1):
         return []
     rose = MarkedGraph(1, [(0, 0, "GG")] * g, [(0, "E0")] * L)
     return _classes([(rose, (), V - 1)],
@@ -330,7 +402,7 @@ def enumerate_desc(g, n, L, alg=None):
         mprime = n + 3 - 3 * handles
         V = 2 * g - 2 * handles - mprime + L + 2
         fixed = (f"E{n}",) + ("IDLOOP",) * (2 * handles)
-        if mprime < 1 or V < 1 or alg is not None and not _reach(
+        if mprime < 1 or V < 1 or not _reach(
                 alg, fixed, 2 * (g - handles), L, V - 1):
             continue
         rose = MarkedGraph(1, [(0, 0, "GG")] * (g - handles)

@@ -1,13 +1,15 @@
 """Shared fixtures: the builtin algebras (live8, loop8 and cubic6 are
 those on which a GG class is nonzero) and their shipped JSON, the
 hand-built variant scaled2, a perturbed potential table, a vertex
-relabeling, and a random-graph generator for fuzz comparisons."""
+relabeling, a random-graph generator for fuzz comparisons, and class
+generation without its look-aheads."""
 
 import json
 from importlib import resources
 
 import pytest
 
+from cyclichodge import potentials
 from cyclichodge.algebra import parse_algebra
 from cyclichodge.builtin import load_builtin
 from cyclichodge.graphs import MarkedGraph
@@ -136,3 +138,13 @@ def random_connected_graph(rng, dim, couplings=True, max_vertices=3):
     leaves = [(rng.randrange(nv), rng.choice(leaf_pool))
               for _ in range(rng.randint(0, 3))]
     return MarkedGraph(nv, edges, leaves)
+
+
+def without_look_aheads(monkeypatch):
+    """Class generation from here on without the two look-aheads that
+    drop children with no class below them: the canonical look-ahead of
+    a primary sum, and the split-count rule when there is no algebra."""
+    reach = potentials._reach
+    monkeypatch.setattr(potentials, "_may_win", lambda graph: True)
+    monkeypatch.setattr(potentials, "_reach",
+                        lambda alg, *state: alg is None or reach(alg, *state))

@@ -7,6 +7,11 @@ n <= 4, L <= 4 of `tests/test_class_weights.py` both give the same class
 lists: the same graphs, weights, |Aut| and order.  The production
 generator takes one canonical form per class, so it never builds a
 graph twice.
+
+Its two look-aheads drop children with no class below them: the lists
+are the same without them, and each child the canonical look-ahead
+drops, grown to the end of its sum, has no final graph that passes the
+canonical test.
 """
 
 from fractions import Fraction
@@ -19,6 +24,8 @@ from cyclichodge.contract import live_vertex
 from cyclichodge.graphs import MarkedGraph
 from cyclichodge.potentials import (WeightedGraphClass, enumerate_desc,
                                     enumerate_sm)
+
+from conftest import without_look_aheads
 
 GRID = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
         if n or 2 * g - 2 + L >= 1]
@@ -140,20 +147,25 @@ def test_split_parents_fix_vertex_zero(request, monkeypatch, name):
 
 
 def counted(monkeypatch, build):
-    """The classes `build` returns, and how many canonical forms and
-    sweeps it takes."""
-    calls = {"canonical_form": 0, "_sweep_orderings": 0}
-    for name in calls:
-        method = getattr(MarkedGraph, name)
+    """The classes `build` returns, and how many canonical forms, sweeps
+    and canonical tests it takes."""
+    calls = {"canonical_form": 0, "_sweep_orderings": 0, "_canonical": 0}
 
-        def counting(graph, name=name, method=method):
+    def counting(name, function):
+        def wrapper(graph):
             calls[name] += 1
-            return method(graph)
+            return function(graph)
+        return wrapper
 
-        monkeypatch.setattr(MarkedGraph, name, counting)
+    for name in ("canonical_form", "_sweep_orderings"):
+        monkeypatch.setattr(MarkedGraph, name,
+                            counting(name, getattr(MarkedGraph, name)))
+    monkeypatch.setattr(potentials, "_canonical",
+                        counting("_canonical", potentials._canonical))
     classes = build()
     monkeypatch.undo()
-    return classes, calls["canonical_form"], calls["_sweep_orderings"]
+    return (classes, calls["canonical_form"], calls["_sweep_orderings"],
+            calls["_canonical"])
 
 
 @pytest.mark.parametrize("name", [None, "block6", "live8", "loop8", "cubic6"])
@@ -161,7 +173,7 @@ def test_one_canonical_form_per_class(request, monkeypatch, name):
     # every accepted graph is a new class: none is built, swept or held
     # twice, with the support rule on or off
     alg = None if name is None else request.getfixturevalue(name)
-    lists, forms, _ = counted(monkeypatch, lambda: class_lists(alg))
+    lists, forms, _, _ = counted(monkeypatch, lambda: class_lists(alg))
     assert forms == sum(map(len, lists)) > 0
 
 
@@ -169,10 +181,67 @@ def test_genus_two_canonical_forms(monkeypatch):
     # the two lists of the classes-genus2 benchmark workload: one
     # canonical form per class, and a sweep for each parent, each class
     # and each child whose local invariant ties; an acceptance rule that
-    # sweeps every child raises the sweep counts
+    # sweeps every child raises the sweep counts, and a generator that
+    # loses a look-ahead tests and sweeps more children
     primary = lambda: sum((enumerate_sm(2, L) for L in range(5)), [])
     level1 = lambda: sum((enumerate_desc(2, 1, L) for L in range(4)), [])
-    classes, forms, sweeps = counted(monkeypatch, primary)
-    assert (len(classes), forms, sweeps) == (83, 83, 346)
-    classes, forms, sweeps = counted(monkeypatch, level1)
-    assert (len(classes), forms, sweeps) == (112, 112, 247)
+    classes, forms, sweeps, tests = counted(monkeypatch, primary)
+    assert (len(classes), forms, sweeps, tests) == (83, 83, 248, 388)
+    classes, forms, sweeps, tests = counted(monkeypatch, level1)
+    assert (len(classes), forms, sweeps, tests) == (112, 112, 193, 290)
+
+
+def test_genus_three_look_ahead_counts(monkeypatch):
+    # the genus-3 primary lists up to four leaves: without the canonical
+    # look-ahead they take 4,620 sweeps and 11,538 canonical tests
+    classes, forms, sweeps, tests = counted(
+        monkeypatch, lambda: sum((enumerate_sm(3, L) for L in range(5)), []))
+    assert (len(classes), forms, sweeps, tests) == (688, 688, 2465, 4016)
+
+
+# the primary lists each look-ahead test runs on: g <= 3, L <= 4, and over
+# cubic6, the only builtin whose support rule leaves the look-ahead
+# children to drop, its leafless genus-4 and genus-5 lists; live8's rule
+# leaves none
+PRIMARY = [(g, L) for g in range(4) for L in range(5)]
+
+
+@pytest.mark.parametrize("name,pieces,drops", [
+    pytest.param(None, PRIMARY, 2284, id="none"),
+    pytest.param("live8", PRIMARY, 0, id="live8"),
+    pytest.param("cubic6", PRIMARY + [(4, 0), (5, 0)], 233, id="cubic6")])
+def test_look_ahead_drops_no_canonical_descendant(request, monkeypatch, name,
+                                                  pieces, drops):
+    # each child the canonical look-ahead drops, grown by every split of
+    # each canonical graph to the end of its sum, has no final graph that
+    # passes the canonical test
+    alg = None if name is None else request.getfixturevalue(name)
+    dropped = []
+    may_win = potentials._may_win
+
+    def recording(graph):
+        if may_win(graph):
+            return True
+        dropped.append(graph)
+        return False
+
+    monkeypatch.setattr(potentials, "_may_win", recording)
+    for g, L in pieces:
+        enumerate_sm(g, L, alg)
+    assert len(dropped) == drops
+    for graph in {graph.canonical_form(): graph for graph in dropped}.values():
+        # vertex 0 ends with three germs, one fewer after each split
+        layer = [graph]
+        for _ in range(sum(potentials._counts(graph)) - 3):
+            layer = [child for parent in filter(potentials._canonical, layer)
+                     for child in potentials._split(parent, alg)]
+        assert not any(map(potentials._canonical, layer)), graph
+
+
+@pytest.mark.parametrize("name", [None, "live8", "loop8", "cubic6"])
+def test_look_aheads_drop_no_class(request, monkeypatch, name):
+    alg = None if name is None else request.getfixturevalue(name)
+    lists = class_lists(alg)
+    without_look_aheads(monkeypatch)
+    assert class_lists(alg) == lists
+    assert any(lists)

@@ -11,6 +11,26 @@ from cyclichodge.graded import (
 )
 
 
+def gauss_jordan_inverse(a):
+    """The inverse of a by Gauss-Jordan elimination on Fractions with
+    partial pivoting, or None when a is singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 class TestMatrices:
     def test_identity_and_zero(self):
         zero = ((Fraction(0),) * 3,) * 3
@@ -40,6 +60,39 @@ class TestMatrices:
             except SingularMatrixError:
                 continue
             assert mat_mul(m, inv) == identity_matrix(n)
+
+    def test_inverse_matches_gauss_jordan(self):
+        # int and Fraction entries, many of them zero; a zero corner, so
+        # that the first column needs a row swap, and a row that is a
+        # multiple of another, so that the matrix is singular.  Whole
+        # results are ints
+        rng = random.Random(23)
+        values = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                  Fraction(5, 4), Fraction(6, 3))
+        swapped = singular = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            m = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                m[0][0] = 0
+            if n > 1 and rng.random() < 0.2:
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice(values)
+                m[i] = [c * x for x in m[j]]
+            m = tuple(map(tuple, m))
+            reference = gauss_jordan_inverse(m)
+            if reference is None:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    mat_inverse(m)
+                continue
+            swapped += m[0][0] == 0
+            inv = mat_inverse(m)
+            assert inv == reference
+            assert all(type(x) is int or (type(x) is Fraction
+                                          and x.denominator != 1)
+                       for row in inv for x in row)
+        assert swapped > 20 and singular > 20, (swapped, singular)
 
     def test_singular_raises(self):
         m = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
