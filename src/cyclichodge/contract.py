@@ -35,7 +35,7 @@ supports: it multiplies basis vectors left to right, drops zero partial
 products and yields each word with a nonzero integral.  Contraction
 takes each vertex's table over its germs' supports in plan order.
 
-The support rule of class generation (`live_vertex`) builds no table.
+The move rule of class generation (`live_vertex`) builds no table.
 It asks whether some word over the supports of some marks integrates
 nonzero, which holds exactly when the integral is nonzero on the span
 of those words.  That span is kept as a row-reduced basis of at most

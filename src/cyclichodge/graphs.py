@@ -122,12 +122,6 @@ class MarkedGraph:
     def degree(self, v):
         return len(self.germs()[v])
 
-    def mark(self, h):
-        """The mark of half-edge h: its edge's, or its leaf's."""
-        if h < 2 * self.n_edges:
-            return self.edges[h // 2][2]
-        return self.leaves[h - 2 * self.n_edges][1]
-
     def vertex_profile(self, v):
         """(own_handles, other_germs): IDLOOP count and remaining degree."""
         own = sum(1 for (a, b, mark) in self.edges

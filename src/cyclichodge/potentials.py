@@ -69,59 +69,44 @@ one graph of the previous layer, taking one pair to the other or, if it
 swaps 0 and w, to its complement.  The split took one pair of that
 orbit, so the two children are one graph.
 
-Two look-aheads drop a child before its canonical test, so a graph they
-drop is never swept, split or tested.  Each drops only graphs with no
-class below them, while every graph on the way to a class has it below,
-so the argument above holds on the layers they keep.
-- Split count, with or without an algebra.  A split takes two germs off
-  vertex 0 and gives one back, and the last must leave vertex 0 an edge,
-  so a rose or child is dropped unless its vertex 0 has more GG germs
-  and E0 leaves than splits left.  Without an algebra this drops the
-  one-handle rose of a genus-2 level-1 sum, whose vertex 0 would end
-  with the arrow and the handle alone; with one, `_reach` below answers
-  it too.
-- Canonical look-ahead, before the last split of a primary sum.  An
-  edge between two vertices other than 0 is final: later splits move
-  germs off vertex 0 only, so its multiplicity, the leaves and loops at
-  its ends and hence its local invariant never change.  Vertex 0's E0
-  leaves and GG loops never grow, so the last split's new edge {0, w}
-  has at most the greatest invariant over every four-germ vertex 0 with
-  at most those counts and each pairing of its germs (`_last_bound`).
-  A child with a final edge of strictly greater invariant has no final
-  graph below it whose new edge is canonical, so it is dropped.  A tie
-  is kept, since it can still win on the canonical ordering.
+Every split is an allowed move, tested before its child is built
+(`_move`).  Vertex 0's IDLOOP ends and its arrow never move, and a split
+takes k of its GG germs and 2 - k of its E0 leaves (k = 0, 1 or 2) and
+gives one GG germ back, making a vertex w that carries GG and the two
+germs taken and keeps them for good.  So a state is the fixed marks, the
+two counts and the splits left.  A move is allowed when vertex 0 holds
+its germs, its w is live and the state after it can end live: some
+sequence of allowed moves, one per split left, ends at a live vertex 0
+(`_reach`).  A rose is built only if its state can end live.  Given an
+algebra, a vertex is live when some word over its germs' supports
+integrates nonzero (`contract.live_vertex`: a GG half-edge carries the
+indices on either leg of the GG edge table, an E<k> leaf those of H_0),
+and the answers are memoised with the algebra (`CHAlgebra.memo`).
+Without one every vertex is live, and a state can end live when vertex
+0 has more GG germs and E0 leaves than splits left, each split taking
+two and giving one back; this drops the one-handle rose of a genus-2
+level-1 sum, whose vertex 0 would end with the arrow and the handle.
 
-Given an algebra, a split whose new vertex w is zero there is dropped
-before the canonical test.  Later splits move germs off vertex 0 only,
-so w keeps its three germs for good, and each germ's mark fixes the
-basis indices it can carry: a GG half-edge those on either leg of the
-GG edge table, an E<k> leaf those of H_0.  If no word over these
-supports integrates nonzero (`contract.live_vertex`), every term of
-every graph grown from the child is zero.
+The rule keeps every class whose vertices are all live, hence every
+nonzero class, and the argument above holds under it: contracting a
+kept class's canonical edge gives a graph whose state is on the way to
+the class, so its state can end live and, by induction, it is in the
+previous layer; the split that restores the class makes one of the
+class's vertices and leaves a state that ends at the class, so it is an
+allowed move.  Over an algebra with no 4-blocks the GG table is empty,
+so only a rose with no GG loop that needs no split is kept.
 
-Vertex 0 is tested ahead.  Its IDLOOP ends and its arrow never move,
-and a split takes k of its GG germs and 2 - k of its E0 leaves (k = 0,
-1 or 2) and gives one GG germ back, making a vertex that carries GG and
-the two germs taken.  So what matters is the fixed marks, the two
-counts and the number of splits left.  A split is an allowed move when
-its new vertex is live, and a state can end live when some sequence of
-allowed moves, one per split left, ends at a live vertex 0; with no
-split left, when vertex 0 itself is live.  This reachability is
-memoised with the algebra (`CHAlgebra.memo`).  A rose is tested from
-its counts before it is built, and each child, with the splits left
-after it, before its canonical test; with none left that is the test
-of the finished vertex 0.
-
-The rules keep every nonzero class, since such a class has no zero
-vertex: from the state of any graph on the way to it, the splits still
-to come and its finished vertex 0 are a sequence of allowed moves that
-ends live.  The argument above holds under them: contracting a kept
-class's canonical edge gives a graph whose vertices other than vertex 0
-are vertices of the class, so its class is in the previous layer (the
-split that restores the class is an allowed move, and ends at the
-class), and that split makes one of the class's vertices, which passes
-the rule.  Over an algebra with no 4-blocks the GG table is empty, so
-only a rose with no GG loop that needs no split is kept.
+In a primary sum, the canonical look-ahead drops a child whose last
+split, still to come, cannot make a canonical edge.  An edge between two vertices other than 0 is final: later splits move
+germs off vertex 0 only, so its multiplicity, the leaves and loops at
+its ends and hence its local invariant never change.  Vertex 0's E0
+leaves and GG loops never grow, so the last split's new edge {0, w} has
+at most the greatest invariant over every four-germ vertex 0 with at
+most those counts and each pairing of its germs (`_last_bound`).  A
+child with a final edge of strictly greater invariant has no class
+below it, so it is dropped, while every graph on the way to a class has
+it below; a tie is kept, since it can still win on the canonical
+ordering.
 """
 
 from __future__ import annotations
@@ -153,25 +138,29 @@ class WeightedGraphClass:
 # class generation: split a one-vertex rose
 
 
-def _split(graph, alg):
+def _split(graph, alg, fixed, left):
     """One graph for each orbit of unordered pairs of GG half-edges or E0
-    leaves at vertex 0, moved off vertex 0 onto a new vertex w joined to
-    vertex 0 by GG; given an algebra, only those whose w can be nonzero
-    over it.  A pair is named by the far ends of its germs and whether
-    they are the two ends of a loop, and its orbit is that name's orbit
-    under the graph's automorphisms, which all fix vertex 0.  When vertex
-    0 has four germs, all of them such, the child is trivalent and a pair
-    and its complement give the same class, so there is one graph for
-    each orbit of {pair, complement}."""
+    leaves at vertex 0 whose move the rule allows (`_move`, with `left`
+    splits after this one), moved off vertex 0 onto a new vertex w joined
+    to vertex 0 by GG.  A pair is named by the far ends of its germs and
+    whether they are the two ends of a loop, and its orbit is that name's
+    orbit under the graph's automorphisms, which all fix vertex 0.  The
+    last split of a primary sum (no fixed marks, none left) makes the
+    child trivalent, and a pair and its complement give the same class,
+    so there is one graph for each orbit of {pair, complement}."""
     w = graph.n_vertices
-    # a germ is (table, entry, mark, end): table 0 holds edges, table 1
-    # leaves; end is the vertex at the germ's far end (0 for a loop), -1
-    # for a leaf
-    germs = [(0, e, "GG", edge[1 - slot])
+    # a germ is (table, entry, end): table 0 holds edges (GG germs), table
+    # 1 leaves (E0); end is the vertex at the germ's far end (0 for a
+    # loop), -1 for a leaf
+    germs = [(0, e, edge[1 - slot])
              for e, edge in enumerate(graph.edges)
              if edge[2] == "GG" for slot in (0, 1) if edge[slot] == 0]
-    germs += [(1, j, "E0", -1) for j, leaf in enumerate(graph.leaves)
+    gg = len(germs)
+    germs += [(1, j, -1) for j, leaf in enumerate(graph.leaves)
               if leaf == (0, "E0")]
+    # whether a pair of k GG germs may move
+    allowed = [_move(alg, fixed, gg, len(germs) - gg, left, k)
+               for k in range(3)]
 
     def name(pair):
         # the far ends, and whether the germs are the two ends of a loop
@@ -185,7 +174,7 @@ def _split(graph, alg):
     # rest names what a pair is taken with: itself, or its complement
     pairs = list(combinations(germs, 2))
     names = rest = [name(pair) for pair in pairs]
-    if len(germs) == 4 == graph.degree(0):
+    if not fixed and not left:
         # each {pair, complement} once: the pairs holding the first germ,
         # whose complements are the last three pairs in reverse order
         pairs, rest = pairs[:3], names[:2:-1]
@@ -194,16 +183,13 @@ def _split(graph, alg):
     taken = set()
     for pair, (_, loop), orbit in zip(pairs, names,
                                       map(min, ids, ids[len(names):])):
-        if orbit in taken:
+        if orbit in taken or not allowed[2 - pair[0][0] - pair[1][0]]:
             continue
         taken.add(orbit)
-        if alg is not None and not live_vertex(
-                alg, ["GG", pair[0][2], pair[1][2]]):
-            continue
         # the parent's tuples with the pair's ends at w: an edge keeps
         # its far end, which is less than w, or is a loop at w
         edges, leaves = list(graph.edges), list(graph.leaves)
-        for table, entry, _, end in pair:
+        for table, entry, end in pair:
             if table:
                 leaves[entry] = (w, "E0")
             else:
@@ -213,8 +199,9 @@ def _split(graph, alg):
 
 
 def _local(graph):
-    """Each vertex's counts of leaves and loops, and each non-loop edge's
-    multiplicity, keyed by its ends."""
+    """Vertex 0's counts of leaves and loops, and each non-loop edge's
+    local invariant, keyed by its ends: its multiplicity, and the counts
+    of leaves and loops at its ends, least first."""
     V = graph.n_vertices
     leaves, loops = [0] * V, [0] * V
     parallel = {}
@@ -225,32 +212,29 @@ def _local(graph):
             parallel[u, v] = parallel.get((u, v), 0) + 1
     for (v, _) in graph.leaves:
         leaves[v] += 1
-    return list(zip(leaves, loops)), parallel
+    local = list(zip(leaves, loops))
+    return local[0], {(u, v): (count, sorted((local[u], local[v])))
+                      for (u, v), count in parallel.items()}
 
 
-def _canonical(graph):
+def _canonical(graph, rooted):
     """Whether the split that made the last vertex w made a canonical
     edge: whether {0, w} is in the automorphism orbit of the canonical
     one among the edges whose contraction undoes a split.
 
-    Those are the non-loop edges (all GG) at vertex 0, or all of them
-    once vertex 0 is trivalent with only GG and E0 germs.  The canonical
-    one has the greatest local invariant (its multiplicity, and the
-    leaves and loops at its ends), and among ties the ends first in the
-    canonical ordering; so only a tie takes the canonical-form search.
-    A rose, made by no split, is canonical.
+    Those are the non-loop edges (all GG) at vertex 0 on a rooted step,
+    or all of them after the last split of a primary sum.  The canonical
+    one has the greatest local invariant, and among ties the ends first
+    in the canonical ordering; so only a tie takes the canonical-form
+    search.  A rose, made by no split, is canonical.
     """
     V = graph.n_vertices
     if V == 1:
         return True
-    local, parallel = _local(graph)
-    marks = ([mark for (u, v, mark) in graph.edges for end in (u, v)
-              if end == 0]
-             + [mark for (v, mark) in graph.leaves if v == 0])
-    rooted = len(marks) != 3 or not {"GG", "E0"}.issuperset(marks)
-    invariant = {edge: (count, sorted((local[edge[0]], local[edge[1]])))
-                 for edge, count in parallel.items()
-                 if edge[0] == 0 or not rooted}
+    _, invariant = _local(graph)
+    if rooted:
+        invariant = {edge: inv for edge, inv in invariant.items()
+                     if edge[0] == 0}
     w = V - 1
     best = max(invariant.values())
     if invariant[0, w] != best:
@@ -296,62 +280,61 @@ def _may_win(graph):
     canonical edge: whether no edge away from vertex 0, final already,
     has a local invariant greater than `_last_bound` of vertex 0's
     counts."""
-    local, parallel = _local(graph)
-    leaves, loops = local[0]
+    (leaves, loops), invariant = _local(graph)
     # four germs hold at most four leaves and two loops
     bound = _last_bound(min(leaves, 4), min(loops, 2))
-    return all((count, sorted((local[u], local[v]))) <= bound
-               for (u, v), count in parallel.items() if u)
+    return all(inv <= bound for (u, _), inv in invariant.items() if u)
 
 
-def _counts(graph):
-    """Vertex 0's counts of GG germs (a loop's two ends both count) and
-    of E0 leaves."""
-    return (sum((u == 0) + (v == 0) for u, v, mark in graph.edges
-                if mark == "GG"),
-            graph.leaves.count((0, "E0")))
+def _move(alg, fixed, gg, e0, left, k):
+    """Whether a split may take k GG germs and 2 - k E0 leaves (k = 0, 1
+    or 2) off vertex 0, which carries the marks `fixed` that no split
+    moves, gg GG germs and e0 E0 leaves, with `left` splits after it:
+    whether vertex 0 holds them, the new vertex, which carries GG and the
+    two germs taken, is live, and vertex 0, given one GG germ back, can
+    still end live (`_reach`).  Without an algebra every vertex is live,
+    and this is the split count."""
+    if gg < k or e0 < 2 - k:
+        return False
+    after = (fixed, gg + 1 - k, e0 - 2 + k, left)
+    if alg is None:
+        return _reach(alg, *after)
+    return alg.memo(("move", k) + after, lambda: live_vertex(
+        alg, ("GG",) * (k + 1) + ("E0",) * (2 - k)) and _reach(alg, *after))
 
 
 def _reach(alg, fixed, gg, e0, left):
-    """Whether `left` more splits can each make a live vertex and leave
-    vertex 0 live, vertex 0 carrying the marks `fixed` that no split
-    moves, gg GG germs and e0 E0 leaves.  A split takes k GG germs and
-    2 - k E0 leaves and gives one GG germ back; its new vertex carries
-    GG and the two germs taken.  Without an algebra every vertex is
-    live, and the counts answer: vertex 0 needs more germs than splits
-    left, so that the last split leaves it an edge."""
+    """Whether vertex 0, carrying the marks `fixed`, gg GG germs and e0 E0
+    leaves, can end live after `left` more splits, each an allowed move
+    (`_move`); with none left, whether it is live.  Without an algebra
+    every vertex is live, and the counts answer: each split takes two
+    germs and gives one back, so vertex 0 needs more germs than splits
+    left."""
     if alg is None:
         return not left or gg + e0 > left
-
-    def search():
-        if not left:
-            return live_vertex(alg, fixed + ("GG",) * gg + ("E0",) * e0)
-        return any(gg >= k and e0 >= 2 - k
-                   and live_vertex(alg, ("GG",) * (k + 1) + ("E0",) * (2 - k))
-                   and _reach(alg, fixed, gg + 1 - k, e0 - 2 + k, left - 1)
-                   for k in range(3))
-    return alg.memo(("reach", fixed, gg, e0, left), search)
+    if not left:
+        return live_vertex(alg, fixed + ("GG",) * gg + ("E0",) * e0)
+    return any(_move(alg, fixed, gg, e0, left - 1, k) for k in range(3))
 
 
 def _children(layer, alg, fixed, left):
-    """The children of the layer's canonical graphs that can still have a
-    class below them: those that can make `left` more splits, given an
-    algebra with a live vertex 0 at the end, and in a primary sum (no
-    fixed marks) before its last split, those whose last edge can still
-    be canonical.  A generator function, so each layer binds its own
-    `left` when it is called."""
-    for graph in filter(_canonical, layer):
-        for child in _split(graph, alg):
-            if _reach(alg, fixed, *_counts(child), left) and (
-                    fixed or not left or _may_win(child)):
-                yield child
+    """The children of the layer's canonical graphs by the moves allowed
+    with `left` splits after them, and in a primary sum (no fixed marks)
+    before its last split, only those whose last edge can still be
+    canonical.  A generator function, so each layer binds its own `left`
+    when it is called."""
+    for graph in layer:
+        if _canonical(graph, True):
+            for child in _split(graph, alg, fixed, left):
+                if fixed or not left or _may_win(child):
+                    yield child
 
 
 def _classes(roses, valid, alg):
     """The weighted classes grown from each (rose, the marks at vertex 0
     that no split moves, number of splits), as canonical representatives
-    in canonical-form order; given an algebra, only those with no vertex
-    that is zero over it."""
+    in canonical-form order; given an algebra, only those whose vertices
+    are all live over it."""
     found = {}
     for rose, fixed, splits in roses:
         # a graph takes the canonical test only when it is split or
@@ -360,10 +343,12 @@ def _classes(roses, valid, alg):
         layer = [rose]
         for left in reversed(range(splits)):
             layer = _children(layer, alg, fixed, left)
-        for graph in filter(_canonical, layer):
-            key = graph.canonical_form()
-            assert key not in found, graph
-            found[key] = graph
+        # a finished graph's last step is rooted when it carries the arrow
+        for graph in layer:
+            if _canonical(graph, bool(fixed)):
+                key = graph.canonical_form()
+                assert key not in found, graph
+                found[key] = graph
     classes = []
     for key in sorted(found):
         graph = found[key].canonical_graph()
@@ -378,7 +363,7 @@ def _classes(roses, valid, alg):
 
 def enumerate_sm(g, L, alg=None):
     """Classes of the genus-g primary sum with exactly L leaves; given an
-    algebra, only those the support rule keeps."""
+    algebra, only those whose vertices are all live there."""
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     V = 2 * g - 2 + L
@@ -391,8 +376,8 @@ def enumerate_sm(g, L, alg=None):
 
 def enumerate_desc(g, n, L, alg=None):
     """Classes of the genus-g level-n one-point sum with exactly L E0
-    leaves (n >= 1); given an algebra, only those the support rule
-    keeps."""
+    leaves (n >= 1); given an algebra, only those whose vertices are all
+    live there."""
     if g < 0 or L < 0:
         raise ValueError("genus and leaf count must be nonnegative")
     if n < 1:
@@ -421,7 +406,7 @@ class PotentialTable:
     """Caches potential pieces (exact leaf count) for one algebra.
 
     Requires an algebra passing every axiom with purely even H_0.  With
-    prune=False the class lists are the full ones, support rule off.
+    prune=False the class lists are the full ones, every vertex live.
     """
 
     def __init__(self, alg, prune=True):

@@ -143,7 +143,8 @@ def random_connected_graph(rng, dim, couplings=True, max_vertices=3):
 def without_look_aheads(monkeypatch):
     """Class generation from here on without the two look-aheads that
     drop children with no class below them: the canonical look-ahead of
-    a primary sum, and the split-count rule when there is no algebra."""
+    a primary sum, and the move rule's reachability when there is no
+    algebra (the split count).  Given an algebra the move rule stays."""
     reach = potentials._reach
     monkeypatch.setattr(potentials, "_may_win", lambda graph: True)
     monkeypatch.setattr(potentials, "_reach",
