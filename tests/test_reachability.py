@@ -31,12 +31,14 @@ UNREACHED = {"__eq__", "__hash__", "__repr__", "__rsub__"}
 
 def defined_code():
     """The code of every named function defined in the package, nested
-    ones included, keyed by code object."""
+    ones included, keyed by code object, and the package's
+    `functools.cache` wrappers."""
     found = {}
+    cached = []
 
     def visit(code, where):
         if not code.co_name.startswith("<"):
-            found[code] = f"{where}:{code.co_firstlineno} {code.co_qualname}"
+            found[code] = f"{where}:{code.co_firstlineno} {code.co_name}"
         for const in code.co_consts:
             if inspect.iscode(const):
                 visit(const, where)
@@ -54,10 +56,14 @@ def defined_code():
             functions = ([obj.fget, obj.fset] if isinstance(obj, property)
                          else [obj])
             for function in functions:
+                if hasattr(function, "cache_clear"):
+                    cached.append(function)
+                # a functools.cache wrapper has no code of its own
+                function = inspect.unwrap(function)
                 code = getattr(function, "__code__", None)
                 if code is not None and code.co_filename == module.__file__:
                     visit(code, info.name)
-    return found
+    return found, cached
 
 
 def test_every_function_is_reached(tmp_path):
@@ -83,6 +89,12 @@ def test_every_function_is_reached(tmp_path):
         ["kdv", "--max-genus", "1", "--degree", "3"],
         ["kdv", "--max-genus", "1", "--degree", "2", "--json"],
     ]
+    code, cached = defined_code()
+    assert "_last_bound" in {c.co_name for c in code}
+    for wrapper in cached:
+        # a cached function runs only on a miss, and other tests may
+        # have filled its cache
+        wrapper.cache_clear()
     called = set()
 
     def profile(frame, event, arg):
@@ -98,7 +110,6 @@ def test_every_function_is_reached(tmp_path):
                 runpy.run_path(str(demo), run_name="__main__")
         finally:
             sys.setprofile(None)
-    code = defined_code()
     unreached = sorted(where for c, where in code.items()
                        if c not in called and c.co_name not in UNREACHED)
     assert code.keys() & called
