@@ -44,13 +44,12 @@ order:
   hodge-pairing-orthogonal     int(a b) = int(b a) = 0 for a in H_0, b in H_4
 """
 
-from __future__ import annotations
-
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 
 from .graded import (EVEN, ODD, SingularMatrixError, exact, identity_matrix,
                      mat_add, mat_apply, mat_inverse, mat_mul, mat_sub,
@@ -70,10 +69,15 @@ class DegeneracyError(AlgebraError):
     """The scalar product (or its restriction to H_0) is singular."""
 
 
-@dataclass(frozen=True)
+# the fields an algebra is compared, hashed and printed by, in order
+_FIELDS = ("dim", "parity", "unit", "product", "q", "gminus", "integral",
+           "h0", "blocks")
+_data = attrgetter(*_FIELDS)
+
+
 class CHAlgebra:
-    """Immutable algebra data.  All indices are 0-based internally, and
-    every value is int-first (see `graded`).
+    """Immutable-by-convention algebra data.  All indices are 0-based
+    internally, and every value is int-first (see `graded`).
 
     product[i][j] lists the nonzero terms (k, c) of e_i * e_j = sum c e_k,
     ascending in k;
@@ -83,21 +87,38 @@ class CHAlgebra:
 
     Data derived from the algebra (its operators, the contraction
     tensors) is kept with the object that first asks for it, through
-    `memo`; an equal algebra built separately derives its own.
+    `memo`; an equal algebra built separately derives its own.  Two
+    algebras are equal when their data is, whatever their names.
     """
 
-    dim: int
-    parity: tuple
-    unit: int
-    product: tuple
-    q: tuple
-    gminus: tuple
-    integral: tuple
-    h0: tuple
-    blocks: tuple
-    name: str = field(default="", compare=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    __slots__ = _FIELDS + ("name", "_memo")
+
+    def __init__(self, dim, parity, unit, product, q, gminus, integral, h0,
+                 blocks, name=""):
+        self.dim = dim
+        self.parity = parity
+        self.unit = unit
+        self.product = product
+        self.q = q
+        self.gminus = gminus
+        self.integral = integral
+        self.h0 = h0
+        self.blocks = blocks
+        self.name = name
+        self._memo = {}
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}"
+                           for field in _FIELDS + ("name",))
+        return f"CHAlgebra({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _data(self) == _data(other)
+
+    def __hash__(self):
+        return hash(_data(self))
 
     def memo(self, key, build):
         """build(), called on the first request for key and kept with
@@ -320,17 +341,12 @@ def derive_ops(alg):
 # axiom battery
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    witness: tuple = ()
-    detail: str = ""
+AxiomCheck = namedtuple("AxiomCheck", "name passed witness detail",
+                        defaults=((), ""))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple
+class AxiomReport(namedtuple("AxiomReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -28,10 +28,8 @@ cubic6     block6 plus e5 e5 = e4, so (G_-e)^3 = t, a cubic; its GG
            classes are nonzero at genus 2 (the dumbbell and the theta).
 """
 
-from __future__ import annotations
-
 import json
-from importlib import resources
+import os
 
 from .algebra import parse_algebra
 
@@ -43,5 +41,7 @@ def load_builtin(name):
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown builtin algebra {name!r}; "
                        f"choose from {', '.join(BUILTIN_NAMES)}")
-    text = resources.files("cyclichodge.data").joinpath(f"{name}.json").read_text()
-    return parse_algebra(json.loads(text), name=name)
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    return parse_algebra(obj, name=name)

@@ -11,8 +11,6 @@ the name of a shipped algebra (trivial, dual2, exterior2, block6,
 block8, live8, loop8, cubic6).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -198,6 +196,11 @@ def main(argv=None):
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the move rule of class generation recurses once per split
+        # left, so a large enough genus reaches the interpreter's limit
+        print("error: maximum recursion depth exceeded", file=sys.stderr)
         return 2
 
 

@@ -51,9 +51,7 @@ of the kept tables, so agreement checks those as well as the elimination
 bookkeeping.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -66,15 +64,10 @@ from .graphs import EDGE_MARKS, leaf_basis_index, leaf_level
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class EvalPlan:
-    """vertex_order: traversal order of vertices; germ_order[v]: the germ
-    sequence of vertex v (indexed by vertex id, not by position);
-    sign_edges: edge indices carrying the J twist."""
-
-    vertex_order: tuple
-    germ_order: tuple
-    sign_edges: frozenset
+# vertex_order: traversal order of vertices; germ_order[v]: the germ
+# sequence of vertex v (indexed by vertex id, not by position);
+# sign_edges: edge indices carrying the J twist
+EvalPlan = namedtuple("EvalPlan", "vertex_order germ_order sign_edges")
 
 
 def make_plan(graph):

@@ -9,8 +9,6 @@ Fraction result back into an int, and every true division goes through
 floating point enters anywhere in this package.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

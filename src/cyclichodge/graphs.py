@@ -16,8 +16,6 @@ half-edges 2k (at the lower-numbered endpoint) and 2k+1; leaf j owns
 half-edge 2*n_edges + j.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from collections import Counter

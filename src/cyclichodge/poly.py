@@ -12,8 +12,6 @@ coefficient; arithmetic builds its results from monomials and
 coefficients that are already clean, so it skips both.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 

@@ -109,9 +109,7 @@ it below; a tie is kept, since it can still win on the canonical
 ordering.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -124,14 +122,10 @@ from .graphs import (MarkedGraph, is_valid_descendant_graph,
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class WeightedGraphClass:
-    """One isomorphism class in a potential sum."""
-
-    graph: MarkedGraph
-    weight: Fraction
-    aut_order: int
-    handles: int
+# one isomorphism class in a potential sum: its MarkedGraph, its weight
+# (a Fraction), |Aut| and its number of handles
+WeightedGraphClass = namedtuple("WeightedGraphClass",
+                                "graph weight aut_order handles")
 
 
 # ---------------------------------------------------------------------------

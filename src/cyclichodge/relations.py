@@ -28,10 +28,7 @@ and summing repeated i, j, k, l against eta^{-1}:
            13/240, 1/960, written out in check_trr2
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -59,7 +56,6 @@ class BudgetError(ValueError):
     """The requested degree needs an infeasibly large graph enumeration."""
 
 
-@dataclass
 class Residual:
     """Outcome of one identity check.
 
@@ -67,13 +63,15 @@ class Residual:
     two sides on that slice; ok means every slice vanished.
     """
 
-    relation: str
-    degree: int
-    params: dict
-    ok: bool
-    residuals: dict
-    witness: tuple = None
-    details: dict = field(default_factory=dict)
+    def __init__(self, relation, degree, params, ok, residuals, witness=None,
+                 details=None):
+        self.relation = relation
+        self.degree = degree
+        self.params = params
+        self.ok = ok
+        self.residuals = residuals
+        self.witness = witness
+        self.details = {} if details is None else details
 
     def to_json_obj(self):
         obj = {
@@ -120,7 +118,7 @@ def _finish(relation, degree, params, residuals, details=None):
             break
     return Residual(relation=relation, degree=degree, params=params,
                     ok=witness is None, residuals=residuals,
-                    witness=witness, details=details or {})
+                    witness=witness, details=details)
 
 
 def _evaluate(alg, table, degree, free, sides):

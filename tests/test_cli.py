@@ -348,6 +348,21 @@ class TestBadInput:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: out of memory\n")
 
+    @pytest.mark.parametrize("args", [
+        ["potential", "--algebra", "cubic6", "--genus", "100", "--desc", "0",
+         "--max-leaves", "0"],
+        ["verify", "--algebra", "cubic6", "--relation", "dilaton", "--genus",
+         "300", "--degree", "0"],
+    ], ids=["potential", "verify"])
+    def test_recursion_too_deep(self, capsys, args):
+        # class generation recurses once per split left, and these go past
+        # the interpreter's recursion limit: one error line and exit 2,
+        # since exit 1 means a check failed
+        rc = cli.main(args)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (
+            2, "", "error: maximum recursion depth exceeded\n")
+
     def test_unknown_subcommand(self):
         rc, _, _ = run_cli("frobnicate")
         assert rc == 2

@@ -1,6 +1,5 @@
 """Identity battery: clean passes, perturbed potentials, report shapes."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -130,7 +129,7 @@ class DoubledClass(PotentialTable):
         if (g, n, ell) != self.key:
             return out
         assert [cls.graph.edges for cls in out].count(self.edges) == 1
-        return [replace(cls, weight=2 * cls.weight)
+        return [cls._replace(weight=2 * cls.weight)
                 if cls.graph.edges == self.edges else cls for cls in out]
 
 

@@ -14,13 +14,13 @@ potentials above genus 2 are checked too.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from cyclichodge import contract, potentials
+from cyclichodge.algebra import parse_algebra
 from cyclichodge.builtin import BUILTIN_NAMES, load_builtin
 from cyclichodge.contract import (bivector, evaluate_graph, leaf_vector,
                                   live_vertex, mark_matrix, oracle_evaluate)
@@ -28,7 +28,7 @@ from cyclichodge.poly import Poly
 from cyclichodge.potentials import PotentialTable, enumerate_desc, enumerate_sm
 from cyclichodge.relations import run_battery, run_check
 
-from conftest import without_look_aheads
+from conftest import builtin_json, without_look_aheads
 
 GRID = [(g, n, L) for g in range(3) for n in range(5) for L in range(5)
         if n or 2 * g - 2 + L >= 1]
@@ -59,7 +59,7 @@ def test_dropped_graphs_are_zero(request, monkeypatch, name,
                                  dropped_children):
     alg = request.getfixturevalue(name)
     dropped = []
-    twin = replace(alg)
+    twin = parse_algebra(builtin_json(name), name=name)
     split = potentials._split
 
     def recording(graph, rule_alg, *args):
