@@ -85,10 +85,10 @@ class CHAlgebra:
     of e_j; integral[i] is the integral of e_i.  h0 lists the basis
     indices spanning H_0 and blocks the 4-tuples (e, Qe, G-e, QG-e).
 
-    Data derived from the algebra (its operators, the contraction
-    tensors) is kept with the object that first asks for it, through
-    `memo`; an equal algebra built separately derives its own.  Two
-    algebras are equal when their data is, whatever their names.
+    Data derived from the algebra (its operators, its axiom report, the
+    contraction tensors) is kept with the object that first asks for it,
+    through `memo`; an equal algebra built separately derives its own.
+    Two algebras are equal when their data is, whatever their names.
     """
 
     __slots__ = _FIELDS + ("name", "_memo")
@@ -378,7 +378,13 @@ class AxiomReport(namedtuple("AxiomReport", "checks")):
 
 
 def check_axioms(alg):
-    """Run every axiom and derived-consistency check; never raises.
+    """The axiom report of the algebra, made once per algebra object and
+    kept with it (`CHAlgebra.memo`); never raises."""
+    return alg.memo("axioms", lambda: _axiom_report(alg))
+
+
+def _axiom_report(alg):
+    """Run every axiom and derived-consistency check.
 
     Each table entry is (name, failures): failures yields (0-based
     witness, detail) in a fixed order, and the first one is reported.

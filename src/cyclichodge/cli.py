@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .algebra import check_axioms, load_algebra
 from .builtin import BUILTIN_NAMES, load_builtin
@@ -134,7 +135,10 @@ def cmd_axioms(args):
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser():
+    """The command line parser, built once per process: each subcommand's
+    handler looks the functions it calls up when it runs."""
     parser = argparse.ArgumentParser(
         prog="cyclichodge",
         description="Exact graph contraction over cyclic Hodge algebras")

@@ -32,8 +32,11 @@ contraction builds.  A germ's support is the ascending basis indices its
 edge slot or leaf table can carry, read off those tables; it also tells
 which half-edges can be odd.  One fold builds the vertex table over the
 supports: it multiplies basis vectors left to right, drops zero partial
-products and yields each word with a nonzero integral.  Contraction
-takes each vertex's table over its germs' supports in plan order.
+products and yields each word with a nonzero integral.  Where the
+product is supercommutative and associative it walks one word per
+multiset of indices over each run of equal supports and writes out its
+arrangements with their Koszul signs.  Contraction takes each vertex's
+table over its germs' supports in plan order.
 
 The move rule of class generation (`live_vertex`) builds no table.
 It asks whether some word over the supports of some marks integrates
@@ -54,11 +57,11 @@ bookkeeping.
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
 from operator import itemgetter
 
-from .algebra import derive_ops
+from .algebra import check_axioms, derive_ops
 from .graded import identity_matrix, mat_mul, transpose
 from .graphs import EDGE_MARKS, leaf_basis_index, leaf_level
 from .poly import Poly
@@ -196,30 +199,86 @@ def leaf_vector(alg, mark):
     return {i: 1}
 
 
+def _arrangements(word):
+    """The distinct orderings of a nondecreasing tuple, in lexicographic
+    order, each the next permutation of the one before."""
+    word = list(word)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
+
+
+def _odd_inversions(word, parity):
+    """The number of pairs of odd entries of word that stand in descending
+    order: its inversions among odd entries."""
+    odd = [i for i in word if parity[i]]
+    return sum(a > b for n, a in enumerate(odd) for b in odd[n + 1:])
+
+
 def _fold(alg, supports):
     """Yield (key, integral(e_key[0] * .. * e_key[-1])) for each key with
-    key[s] in supports[s] and a nonzero integral, in the order of the
-    supports, multiplying left to right and dropping zero partial
-    products."""
+    key[s] in supports[s] and a nonzero integral.
 
-    def extensions(key, vec):
-        for i in supports[len(key)]:
-            nv = alg.basis_vector(i) if vec is None \
-                else alg.multiply(vec, alg.basis_vector(i))
-            if nv:
-                yield key + (i,), nv
+    When the product is supercommutative and associative (two checks of
+    the algebra's axiom report), that integral is graded-symmetric: a
+    word and its rearrangement differ by the Koszul sign, and an odd
+    index twice makes it zero.  The fold then walks multisets: it visits
+    the slots sorted by support, takes nondecreasing indices within each
+    run of equal supports and no odd one twice, multiplies left to right
+    and drops zero partial products.  Each nonzero word is written out
+    to every distinct arrangement of each run over its slots, the sign
+    (-1)^(inversions among odd entries) taken once for the word and once
+    for the key.  Otherwise every slot is its own run, in slot order, so
+    the walk is the literal left-to-right fold."""
+    n, parity = len(supports), alg.parity
+    graded = all(check.passed for check in check_axioms(alg).checks
+                 if check.name in ("supercommutativity", "associativity"))
+    order = sorted(range(n), key=supports.__getitem__) if graded else range(n)
+    # fresh[p]: whether walk position p starts a run
+    fresh = [not (graded and p
+                  and supports[order[p]] == supports[order[p - 1]])
+             for p in range(n)]
+    starts = [p for p in range(n) if fresh[p]]
+    runs = list(zip(starts, starts[1:] + [n]))
 
-    # depth first over partial keys, one generator of extensions per slot
+    def extensions(word, vec):
+        low = -1 if fresh[len(word)] else word[-1]
+        for i in supports[order[len(word)]]:
+            if i > low or i == low and not parity[i]:
+                nv = alg.basis_vector(i) if vec is None \
+                    else alg.multiply(vec, alg.basis_vector(i))
+                if nv:
+                    yield word + (i,), nv
+
+    def written_out(word, value):
+        flips = _odd_inversions(word, parity)
+        key = [None] * n
+        for parts in product(*(_arrangements(word[a:b]) for a, b in runs)):
+            for s, i in zip(order, chain.from_iterable(parts)):
+                key[s] = i
+            odd = (flips + _odd_inversions(key, parity)) % 2
+            yield tuple(key), -value if odd else value
+
+    # depth first over partial words, one generator of extensions per slot
     stack = [iter([((), None)])]
     while stack:
-        for key, vec in stack[-1]:
-            if len(key) < len(supports):
-                stack.append(extensions(key, vec))
+        for word, vec in stack[-1]:
+            if len(word) < n:
+                stack.append(extensions(word, vec))
                 break
             value = alg.integrate(alg.basis_vector(alg.unit) if vec is None
                                   else vec)
             if value:
-                yield key, value
+                yield from written_out(word, value)
         else:
             stack.pop()
 
@@ -238,7 +297,11 @@ def _leaf_tensor(alg, mark):
 def _vertex_tensor(alg, supports):
     """Sparse table {(i_1,..,i_n): integral(e_i1 * .. * e_in)} over the
     keys with i_s in supports[s], a tuple of ascending basis indices per
-    germ slot."""
+    germ slot.  `_fold` builds it over multisets of indices, each run of
+    equal supports walked once and its arrangements written out with the
+    sign (-1)^(inversions among odd entries), when the product is
+    supercommutative and associative, and by the literal left-to-right
+    fold otherwise."""
     return alg.memo(("vertex", supports), lambda: dict(_fold(alg, supports)))
 
 

@@ -397,7 +397,8 @@ def enumerate_desc(g, n, L, alg=None):
 
 
 class PotentialTable:
-    """Caches potential pieces (exact leaf count) for one algebra.
+    """Caches potential pieces (exact leaf count) for one algebra, and the
+    truncated potentials and derivatives the identity checks ask for.
 
     Requires an algebra passing every axiom with purely even H_0.  With
     prune=False the class lists are the full ones, every vertex live.
@@ -416,6 +417,7 @@ class PotentialTable:
         self.prune = bool(prune)
         self._pieces = {}
         self._classes = {}
+        self._derived = {}
 
     def classes(self, g, n, ell):
         key = (g, n, ell)
@@ -445,6 +447,16 @@ class PotentialTable:
         for ell in range(max_leaves + 1):
             total = total + self.piece(g, n, ell)
         return total
+
+    def derivative(self, g, n, max_leaves, mono):
+        """The potential's derivative along `mono`, an ascending tuple of
+        variables; it and each derivative on the way to it are kept."""
+        key = (g, n, max_leaves, mono)
+        if key not in self._derived:
+            self._derived[key] = (
+                self.derivative(g, n, max_leaves, mono[:-1]).partial(mono[-1])
+                if mono else self.potential(g, n, max_leaves))
+        return self._derived[key]
 
 
 # ---------------------------------------------------------------------------

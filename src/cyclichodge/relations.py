@@ -10,9 +10,11 @@ index) entries (a bare index is level 0), or a coupling T(level, index).
 A pair (i, j) sums two index names against eta^{-1}, the inverse pairing
 on H_0; (i, j, ETA) sums against eta, (i, j, SUM) plainly.  Other
 indices are slots 1..s or free names a, b, c, d, one residual slice per
-value.  Leaf budgets are derived: F_{g,n} is fetched once, with budget
+value.  Leaf budgets are derived: F_{g,n} is truncated at budget
 degree + (its level-0 derivatives) - (level-0 couplings in the term),
-maximized over its uses.
+maximized over its uses in a check.  The potential table keeps each
+truncation and each derivative of it (`PotentialTable.derivative`), so
+the checks of a battery over one table fetch each once.
 
 Writing F_{g,n;...} for derivatives of F_{g,n} (a bare index at level 0)
 and summing repeated i, j, k, l against eta^{-1}:
@@ -123,7 +125,7 @@ def _finish(relation, degree, params, residuals, details=None):
 
 def _evaluate(alg, table, degree, free, sides):
     """[(slice label, [[term value, ...] per side])] per value of the
-    free names; derivatives are memoised per sorted multi-index."""
+    free names; each derivative is read from the table's memo."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     budgets = {}
@@ -138,8 +140,6 @@ def _evaluate(alg, table, degree, free, sides):
         raise BudgetError(f"degree {degree} requires a leaf budget of "
                           f"{largest} > {MAX_LEAF_BUDGET}; lower the degree")
     table = table if table is not None else PotentialTable(alg)
-    derived = {(g, n, ()): table.potential(g, n, need)
-               for (g, n), need in budgets.items()}
     der = derive_ops(alg)
     s = len(alg.h0)
     entries = {form: [(i + 1, j + 1, c) for i, row in enumerate(mat)
@@ -147,15 +147,10 @@ def _evaluate(alg, table, degree, free, sides):
                for form, mat in ((None, der.eta_inv), (ETA, der.eta))}
     entries[SUM] = [(i, i, 1) for i in range(1, s + 1)]
 
-    def derivative(g, n, mono):
-        if (g, n, mono) not in derived:
-            derived[g, n, mono] = derivative(g, n, mono[:-1]).partial(mono[-1])
-        return derived[g, n, mono]
-
     def value(f, env):
         if isinstance(f, T):
             return Poly.var(f.level, env.get(f.index, f.index))
-        return derivative(f.g, f.n, tuple(sorted(
+        return table.derivative(f.g, f.n, budgets[f.g, f.n], tuple(sorted(
             (lvl, env.get(i, i)) for lvl, i in f.derivs)))
 
     def term_value(coeff, factors, pairs, env):

@@ -178,6 +178,20 @@ class TestVerify:
         assert rc == 1
         assert capsys.readouterr().out.startswith("FAIL")
 
+    def test_parser_built_once(self, monkeypatch, capsys):
+        # two commands in one process share one parser, and a handler
+        # still calls the name the module holds when it runs
+        cli.build_parser.cache_clear()
+        assert cli.main(["axioms", "--algebra", "trivial"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_battery", lambda alg, d0, d1: [])
+        assert cli.main(["verify", "--algebra", "trivial",
+                         "--relation", "all", "--degree", "0"]) == 0
+        # the patched battery ran: no results, nothing printed
+        assert capsys.readouterr().out == ""
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 class TestKdv:
     def test_table(self):

@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import cyclichodge.contract as contract
-from cyclichodge.algebra import CHAlgebra, parse_algebra
+from cyclichodge.algebra import CHAlgebra, check_axioms, parse_algebra
 from cyclichodge.builtin import load_builtin
 from cyclichodge.contract import (
     EvalPlan, _build_factors, _sign_factors, _target_positions, bivector,
@@ -272,6 +273,72 @@ class TestWideVertices:
         # each step walks the one wide factor once, not once per variable
         graph = MarkedGraph(1, [], [(0, "UNIT")] * 1100)
         assert evaluate_graph(trivial, graph) == Poly.const(1)
+
+
+class TestVertexFold:
+    @pytest.mark.parametrize("name, degree, products",
+                             [("block6", 2, 284), ("live8", 10, 19528)])
+    def test_products_per_battery(self, name, degree, products, monkeypatch):
+        # the products that build a battery's vertex tables, walking
+        # multisets of germs; a walk over every ordering made 904 and
+        # 106,356
+        alg = load_builtin(name)
+        run_battery(alg, degree, degree)
+        keys = [key[1] for key in alg._memo if key[0] == "vertex"]
+        fresh = load_builtin(name)
+        calls = []
+        multiply = CHAlgebra.multiply
+
+        def counted(self, u, v):
+            calls.append(v)
+            return multiply(self, u, v)
+
+        monkeypatch.setattr(CHAlgebra, "multiply", counted)
+        tables = [contract._vertex_tensor(fresh, key) for key in keys]
+        assert len(calls) == products
+        assert tables == [alg._memo["vertex", key] for key in keys]
+
+    @pytest.mark.parametrize("axiom, row, witnesses", [
+        # an odd index twice integrates to 5
+        ("supercommutativity", [2, 2, 4, "5"], {((1,), (1,)): {(1, 1): 5}}),
+        # (e4 e4) e2 e3 = 0 but ((e2 e3) e4) e4 = 1
+        ("associativity", [4, 4, 4, "-1"],
+         {((3,), (3,), (1,), (2,)): {},
+          ((1,), (2,), (3,), (3,)): {(1, 2, 3, 3): 1}}),
+    ])
+    def test_ungraded_product_folds_literally(self, axiom, row, witnesses):
+        # exterior2 with one product entry changed as in test_algebra.py:
+        # the integral of a word is no longer graded-symmetric, so the
+        # tables take the literal left-to-right fold, and contraction
+        # still agrees with the oracle on germs with repeated supports
+        obj = builtin_json("exterior2")
+        obj["product"] = [e for e in obj["product"]
+                          if e[:2] != row[:2]] + [row]
+        alg = parse_algebra(obj)
+        assert [c.name for c in check_axioms(alg).failures] == [axiom]
+        for supports, table in witnesses.items():
+            assert contract._vertex_tensor(alg, supports) == table
+        rng = random.Random(axiom)
+        for arity in range(6):
+            pool = [tuple(sorted(rng.sample(range(4), rng.randint(1, 4))))
+                    for _ in range(2)]
+            supports = tuple(rng.choice(pool) for _ in range(arity))
+            assert contract._vertex_tensor(alg, supports) == {
+                word: value for word in product(*supports)
+                for value in [alg.integrate_basis_word(word)] if value}
+        marks = ("UNIT", "B2", "B3", "B4")
+        nonzero = 0
+        for _ in range(40):
+            nv = rng.randint(1, 2)
+            edges = [(0, 1, rng.choice(("ID", "PI0")))] * (nv - 1)
+            edges += [(0, 0, "IDLOOP")] * rng.randint(0, 1)
+            leaves = [(rng.randrange(nv), rng.choice(marks))
+                      for _ in range(rng.randint(1, 2))] * 2
+            graph = MarkedGraph(nv, edges, leaves)
+            ref = oracle_evaluate(alg, graph)
+            assert evaluate_graph(alg, graph) == ref, repr(graph)
+            nonzero += not ref.is_zero()
+        assert nonzero >= 5, nonzero
 
 
 class RecordingTable(PotentialTable):

@@ -53,6 +53,25 @@ class TestCleanBattery:
         # odd directions live in the handle windows and the Koszul signs
         self.assert_green(run_battery(block6, 3, 2))
 
+    def test_derivatives_taken_once_per_table(self, block6, monkeypatch):
+        # the checks share the table's memo: one partial derivative per
+        # (g, n, leaf budget, multi-index) key, 199 of them where a memo
+        # per check took 293, and none in a second battery on the table
+        calls = []
+        partial = Poly.partial
+
+        def counted(self, var):
+            calls.append(var)
+            return partial(self, var)
+
+        monkeypatch.setattr(Poly, "partial", counted)
+        table = PotentialTable(block6)
+        self.assert_green(run_battery(block6, 2, 2, table=table))
+        keys = [key for key in table._derived if key[3]]
+        assert len(calls) == len(keys) == 199
+        self.assert_green(run_battery(block6, 2, 2, table=table))
+        assert len(calls) == 199
+
 
 class TestInjectedFailures:
     """Each relation must notice a perturbation of the one potential it
